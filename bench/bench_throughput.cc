@@ -336,6 +336,15 @@ main(int argc, char **argv)
            "simulator accesses/second by policy and LLC geometry",
            opt.records);
 
+    // The machine behind every number below: throughput compares only
+    // like for like.
+    Json &machine = report.section("machine", "machine");
+    machine["hardware_threads"] =
+        std::uint64_t{std::thread::hardware_concurrency()};
+    machine["compiler"] =
+        std::string(NUCACHE_CXX_ID) + " " + NUCACHE_CXX_VERSION;
+    machine["build_type"] = NUCACHE_BUILD_TYPE;
+
     Json &section = report.section("throughput", "throughput");
     Json cells = Json::array();
 

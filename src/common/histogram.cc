@@ -85,6 +85,36 @@ LogHistogram::countAtOrBelow(std::uint64_t limit) const
     return covered;
 }
 
+LogHistogram::Cut
+LogHistogram::cut(std::uint64_t limit) const
+{
+    // Buckets are contiguous, so every bucket below the one holding
+    // the limit is whole and every bucket above it is excluded.
+    Cut c;
+    c.bucket = bucketOf(limit);
+    const std::uint64_t lo = bucketLow(c.bucket);
+    const std::uint64_t hi = bucketHigh(c.bucket);
+    c.whole = hi <= limit + 1;
+    if (!c.whole) {
+        c.frac = static_cast<double>(limit - lo + 1) /
+                 static_cast<double>(hi - lo);
+    }
+    return c;
+}
+
+LogHistogramCdf::LogHistogramCdf(const LogHistogram &h)
+{
+    below.reserve(h.numBuckets() + 1);
+    counts.reserve(h.numBuckets());
+    double covered = 0.0;
+    for (unsigned b = 0; b < h.numBuckets(); ++b) {
+        below.push_back(covered);
+        counts.push_back(static_cast<double>(h.count(b)));
+        covered += counts.back();
+    }
+    below.push_back(covered);
+}
+
 void
 LogHistogram::decay()
 {

@@ -70,9 +70,36 @@ class LogHistogram
     /**
      * @return the number of observations with value <= @p limit,
      * attributing a bucket fractionally when @p limit splits it
-     * (linear interpolation within the bucket).
+     * (linear interpolation within the bucket).  @p limit must be
+     * below UINT64_MAX.
      */
     double countAtOrBelow(std::uint64_t limit) const;
+
+    /** Where a limit falls in the bucket layout (see cut()). */
+    struct Cut
+    {
+        /** The bucket holding the limit (the last one if saturated). */
+        unsigned bucket = 0;
+        /** Every value of `bucket` is at or below the limit. */
+        bool whole = false;
+        /** Share of `bucket` at or below the limit when not whole. */
+        double frac = 0.0;
+    };
+
+    /**
+     * @return where @p limit cuts this histogram's bucket layout.  It
+     * depends on the layout only, so one cut serves every histogram of
+     * the same layout (see LogHistogramCdf).
+     */
+    Cut cut(std::uint64_t limit) const;
+
+    /** @return whether @p other has the same bucket layout. */
+    bool
+    sameLayout(const LogHistogram &other) const
+    {
+        return subBits == other.subBits &&
+               numBuckets() == other.numBuckets();
+    }
 
     /** Halve every counter (epoch aging). */
     void decay();
@@ -87,6 +114,39 @@ class LogHistogram
     unsigned subBits;
     std::vector<std::uint64_t> counts;
     std::uint64_t totalCount;
+};
+
+/**
+ * The cumulative counts of a LogHistogram, taken once so that repeated
+ * CDF queries cost O(1): countAtOrBelow(limit) is the count below the
+ * cut bucket plus that bucket's count times the cut fraction.  The
+ * running sums are accumulated in double, bucket by bucket, as
+ * LogHistogram::countAtOrBelow does, so at(h.cut(limit)) equals
+ * h.countAtOrBelow(limit) bit for bit.  The view is a snapshot: later
+ * changes to the histogram do not reach it.
+ */
+class LogHistogramCdf
+{
+  public:
+    explicit LogHistogramCdf(const LogHistogram &h);
+
+    /**
+     * @return the number of observations at or below the limit that
+     * produced @p c, which must come from a histogram of the same
+     * layout.
+     */
+    double
+    at(const LogHistogram::Cut &c) const
+    {
+        return c.whole ? below[c.bucket + 1]
+                       : below[c.bucket] + counts[c.bucket] * c.frac;
+    }
+
+  private:
+    /** below[b]: observations in buckets [0, b); one extra entry. */
+    std::vector<double> below;
+    /** Bucket counts as double. */
+    std::vector<double> counts;
 };
 
 /**

@@ -42,13 +42,18 @@ NUcachePolicy::init(const PolicyContext &ctx)
     if (deliWays >= ctx.numWays)
         fatal("NUcache: ", deliWays, " DeliWays leaves no MainWays in a ",
               ctx.numWays, "-way cache");
-    meta.assign(static_cast<std::size_t>(ctx.numSets) * ctx.numWays,
-                LineMeta{});
+    const std::size_t lines =
+        static_cast<std::size_t>(ctx.numSets) * ctx.numWays;
+    setWords.assign(ctx.numSets, SetWords{});
+    stamps.assign(lines, 0);
     mainHitPos.assign(ctx.numWays, 0);
     numon = NextUseMonitor(effMonitor);
+    for (std::uint32_t s = 0; s < ctx.numSets; ++s)
+        setWords[s].sampled = numon.sampled(s);
     selected.clear();
+    selectionGen = 0;
     fifoCounter = 0;
-    missCount = 0;
+    missesToEpoch = effEpochMisses;
     deliHitCount = 0;
     leaseRefreshCount = 0;
     epochCount = 0;
@@ -84,81 +89,69 @@ NUcachePolicy::isSelected(PC pc) const
     }
 }
 
+namespace
+{
+
+/**
+ * @return the first way among the set bits of @p ways holding the
+ * smallest stamp of @p row (lowest way on ties); @p none if @p ways
+ * is empty.
+ */
+std::uint32_t
+oldestOf(const std::uint64_t *row, std::uint64_t ways, std::uint32_t none)
+{
+    std::uint32_t best = none;
+    std::uint64_t lowest = ~std::uint64_t{0};
+    for (; ways != 0; ways &= ways - 1) {
+        const auto w = static_cast<std::uint32_t>(std::countr_zero(ways));
+        const bool older = row[w] < lowest;
+        lowest = older ? row[w] : lowest;
+        best = older ? w : best;
+    }
+    return best;
+}
+
+} // anonymous namespace
+
 std::uint32_t
 NUcachePolicy::mainLruWay(const SetView &set) const
 {
-    std::uint32_t victim = set.ways();
-    Tick oldest = ~Tick{0};
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        const LineMeta &m = meta[slot(set.setIndex(), w)];
-        if (set.line(w).valid && m.region == Region::Main &&
-            m.lastTouch < oldest) {
-            oldest = m.lastTouch;
-            victim = w;
-        }
-    }
-    return victim;
+    return oldestOf(&stamps[rowOf(set.setIndex())], mainMask(set),
+                    set.ways());
 }
 
-std::uint32_t
-NUcachePolicy::staleDeliWay(const SetView &set) const
+std::uint64_t
+NUcachePolicy::refreshAdmitted(const SetView &set)
 {
-    std::uint32_t victim = set.ways();
-    std::uint64_t oldest = ~std::uint64_t{0};
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        const LineMeta &m = meta[slot(set.setIndex(), w)];
-        if (set.line(w).valid && m.region == Region::Deli &&
-            !isSelected(set.line(w).pc) && m.fifoSeq < oldest) {
-            oldest = m.fifoSeq;
-            victim = w;
-        }
+    std::uint64_t admitted = 0;
+    for (std::uint64_t v = set.validMask(); v != 0; v &= v - 1) {
+        const auto w = static_cast<std::uint32_t>(std::countr_zero(v));
+        if (isSelected(set.line(w).pc))
+            admitted |= std::uint64_t{1} << w;
     }
-    return victim;
-}
-
-std::uint32_t
-NUcachePolicy::deliOldestWay(const SetView &set) const
-{
-    std::uint32_t victim = set.ways();
-    std::uint64_t oldest = ~std::uint64_t{0};
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        const LineMeta &m = meta[slot(set.setIndex(), w)];
-        if (set.line(w).valid && m.region == Region::Deli &&
-            m.fifoSeq < oldest) {
-            oldest = m.fifoSeq;
-            victim = w;
-        }
-    }
-    return victim;
-}
-
-std::uint32_t
-NUcachePolicy::mainCount(const SetView &set) const
-{
-    std::uint32_t n = 0;
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        if (set.line(w).valid &&
-            meta[slot(set.setIndex(), w)].region == Region::Main) {
-            ++n;
-        }
-    }
-    return n;
+    SetWords &words = setWords[set.setIndex()];
+    words.admitted = admitted;
+    words.admittedGen = selectionGen;
+    return admitted;
 }
 
 void
-NUcachePolicy::enforceMainBound(const SetView &set)
+NUcachePolicy::enforceMainBound(const SetView &set, std::uint32_t lru)
 {
-    while (mainCount(set) > mainWays()) {
-        const std::uint32_t lru = mainLruWay(set);
+    const std::uint32_t s = set.setIndex();
+    for (std::uint32_t n = mainCount(set); n > mainWays();
+         --n, lru = set.ways()) {
+        if (lru == set.ways())
+            lru = mainLruWay(set);
         if (lru == set.ways())
             panic("NUcache: main bound violated with no Main lines");
-        LineMeta &m = meta[slot(set.setIndex(), lru)];
-        m.region = Region::Deli;
-        m.fifoSeq = ++fifoCounter;
+        setWords[s].deli |= std::uint64_t{1} << lru;
+        stamps[rowOf(s) + lru] = ++fifoCounter;
         // The block retires from the MainWays here: this is the moment
-        // the Next-Use clock starts for it.
-        numon.onRetire(set.setIndex(), set.line(lru).tag,
-                       set.line(lru).pc);
+        // the Next-Use clock starts for it.  (The sampling test comes
+        // first so unsampled sets never load the line's cold origin.)
+        if (setWords[s].sampled)
+            numon.onRetire(s, set.line(lru).tag, set.line(lru).pc);
     }
 }
 
@@ -166,27 +159,28 @@ std::uint32_t
 NUcachePolicy::victimWay(const SetView &set, const AccessInfo &info)
 {
     (void)info;
-    const std::uint32_t main_lru = mainLruWay(set);
-    if (main_lru == set.ways())
-        panic("NUcache: full set with no MainWays lines");
-
-    if (deliWays == 0)
-        return main_lru;
-
     // Stale DeliWays lines — those whose allocating PC is no longer
     // selected (selection changed, or they arrived via demotion churn)
     // — are reclaimed first.  This keeps the DeliWays from rotting
     // into dead capacity and makes NUcache degenerate gracefully to
     // (W-D)-way LRU plus a FIFO annex when nothing is selected.
-    const std::uint32_t stale = staleDeliWay(set);
+    const std::uint64_t admitted = admittedMask(set);
+    const std::uint64_t *fifo = &stamps[rowOf(set.setIndex())];
+    const std::uint32_t stale =
+        oldestOf(fifo, deliMask(set) & ~admitted, set.ways());
     if (stale != set.ways())
         return stale;
+
+    const std::uint32_t main_lru = mainLruWay(set);
+    if (main_lru == set.ways())
+        panic("NUcache: full set with no MainWays lines");
 
     // If the Main-LRU block deserves retention, sacrifice the oldest
     // DeliWays block instead; the displaced Main-LRU will be demoted
     // into the freed slot by the fill-path invariant enforcement.
-    if (isSelected(set.line(main_lru).pc)) {
-        const std::uint32_t deli_oldest = deliOldestWay(set);
+    if (((admitted >> main_lru) & 1) != 0) {
+        const std::uint32_t deli_oldest =
+            oldestOf(fifo, deliMask(set), set.ways());
         if (deli_oldest != set.ways())
             return deli_oldest;
     }
@@ -197,12 +191,15 @@ void
 NUcachePolicy::onHit(const SetView &set, std::uint32_t way,
                      const AccessInfo &info)
 {
-    LineMeta &m = meta[slot(set.setIndex(), way)];
-    if (m.region == Region::Deli) {
+    const std::uint32_t s = set.setIndex();
+    const std::uint64_t bit = std::uint64_t{1} << way;
+    std::uint64_t *row = &stamps[rowOf(s)];
+    if ((setWords[s].deli & bit) != 0) {
         ++deliHitCount;
         // A DeliWays hit is a successful next-use: record its distance
         // so the selection keeps seeing the PCs it is saving.
-        numon.onUse(set.setIndex(), set.line(way).tag);
+        if (setWords[s].sampled)
+            numon.onUse(s, set.line(way).tag);
 
         // Promote to the MainWays MRU unless doing so would push a
         // non-selected Main-LRU into the FIFO *and* the hit block is
@@ -211,50 +208,52 @@ NUcachePolicy::onHit(const SetView &set, std::uint32_t way,
         // window from demotion churn.  (Stale demoted blocks are
         // reclaimed first by the victim path, so promotion is
         // otherwise safe.)
+        const std::uint64_t admitted = admittedMask(set);
         const std::uint32_t main_lru = mainLruWay(set);
         const bool can_promote =
             mainCount(set) < mainWays() ||
-            (main_lru != set.ways() &&
-             isSelected(set.line(main_lru).pc)) ||
-            !isSelected(set.line(way).pc);
+            (main_lru != set.ways() && ((admitted >> main_lru) & 1) != 0) ||
+            (admitted & bit) == 0;
         if (can_promote) {
-            m.region = Region::Main;
-            m.lastTouch = info.tick;
-            enforceMainBound(set);
+            // The promoted line is now the Main MRU, so the Main-LRU
+            // found above is the one to demote if the bound overflows.
+            setWords[s].deli &= ~bit;
+            row[way] = info.tick;
+            enforceMainBound(set, main_lru);
         } else {
             // A lease refresh re-enters the FIFO tail: it consumes
             // DeliWays lifetime exactly like an insertion, so it must
             // be accounted in the insertion-rate estimate or the
             // selection drifts low at high hit rates and overshoots.
-            m.fifoSeq = ++fifoCounter;
+            row[way] = ++fifoCounter;
             ++leaseRefreshCount;
-            numon.onLease(set.setIndex(), set.line(way).pc);
+            if (setWords[s].sampled)
+                numon.onLease(s, set.line(way).pc);
         }
         return;
     }
     // MainWays hit: in adaptive mode, record its recency rank on
     // sampled sets (the hits a smaller MainWays would forfeit).
-    if (cfg.adaptiveDeli && numon.sampled(set.setIndex())) {
+    if (cfg.adaptiveDeli && setWords[s].sampled) {
         std::uint32_t rank = 0;
-        for (std::uint32_t w = 0; w < set.ways(); ++w) {
-            const LineMeta &o = meta[slot(set.setIndex(), w)];
-            if (w != way && set.line(w).valid &&
-                o.region == Region::Main &&
-                o.lastTouch > m.lastTouch) {
+        for (std::uint64_t m = mainMask(set) & ~bit; m != 0; m &= m - 1) {
+            if (row[std::countr_zero(m)] > row[way])
                 ++rank;
-            }
         }
         ++mainHitPos[rank];
     }
-    m.lastTouch = info.tick;
+    row[way] = info.tick;
 }
 
 void
 NUcachePolicy::onMiss(const SetView &set, const AccessInfo &info)
 {
-    numon.onMiss(set.setIndex(), info.addr / context.blockSize, info.pc);
-    if (++missCount % effEpochMisses == 0)
+    if (setWords[set.setIndex()].sampled)
+        numon.onMiss(set.setIndex(), info.addr / context.blockSize, info.pc);
+    if (--missesToEpoch == 0) {
+        missesToEpoch = effEpochMisses;
         runSelection();
+    }
 }
 
 void
@@ -265,7 +264,8 @@ NUcachePolicy::onEvict(const SetView &set, std::uint32_t way,
     // A MainWays line evicted outright retires here.  A DeliWays line
     // already retired when it was demoted; re-boarding it would reset
     // its Next-Use clock and understate the distance.
-    if (meta[slot(set.setIndex(), way)].region == Region::Main)
+    const SetWords &words = setWords[set.setIndex()];
+    if (words.sampled && ((words.deli >> way) & 1) == 0)
         numon.onRetire(set.setIndex(), victim.tag, victim.pc);
 }
 
@@ -273,10 +273,17 @@ void
 NUcachePolicy::onFill(const SetView &set, std::uint32_t way,
                       const AccessInfo &info)
 {
-    LineMeta &m = meta[slot(set.setIndex(), way)];
-    m.region = Region::Main;
-    m.lastTouch = info.tick;
-    enforceMainBound(set);
+    const std::uint32_t s = set.setIndex();
+    const std::uint64_t bit = std::uint64_t{1} << way;
+    // On a stale word this bit is moot: the refresh rewrites it all.
+    SetWords &words = setWords[s];
+    words.deli &= ~bit;
+    if (isSelected(info.pc))
+        words.admitted |= bit;
+    else
+        words.admitted &= ~bit;
+    stamps[rowOf(s) + way] = info.tick;
+    enforceMainBound(set, set.ways());
 }
 
 void
@@ -352,6 +359,9 @@ NUcachePolicy::runSelection()
     for (const PC pc : before)
         churn += selected.count(pc) == 0 ? 1 : 0;
     churnCount += churn;
+    // Sets re-derive their admitted words lazily on next use.
+    if (churn != 0)
+        ++selectionGen;
 
     if (obs::Tracer::active()) {
         obs::Tracer &tracer = obs::Tracer::instance();
@@ -370,52 +380,62 @@ NUcachePolicy::runSelection()
 bool
 NUcachePolicy::inDeliWays(std::uint32_t set, std::uint32_t way) const
 {
-    return meta[slot(set, way)].region == Region::Deli;
+    return ((setWords[set].deli >> way) & 1) != 0;
 }
 
 bool
 NUcachePolicy::checkInvariants(const SetView &set, std::string &why) const
 {
-    std::uint32_t main_n = 0, deli_n = 0, valid_n = 0;
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        if (!set.line(w).valid)
-            continue;
-        ++valid_n;
-        const LineMeta &m = meta[slot(set.setIndex(), w)];
-        if (m.region == Region::Main) {
-            ++main_n;
-            if (m.lastTouch == 0) {
-                why = "Main line in way " + std::to_string(w) +
-                      " has no recency stamp";
-                return false;
-            }
-        } else {
-            ++deli_n;
-            if (m.fifoSeq == 0 || m.fifoSeq > fifoCounter) {
-                why = "Deli line in way " + std::to_string(w) +
-                      " has FIFO stamp " + std::to_string(m.fifoSeq) +
-                      " outside (0, " + std::to_string(fifoCounter) +
-                      "]";
-                return false;
+    const std::uint32_t s = set.setIndex();
+    const std::uint64_t *row = &stamps[rowOf(s)];
+    const std::uint64_t main = mainMask(set);
+    const std::uint64_t deli = deliMask(set);
+    for (std::uint64_t m = main; m != 0; m &= m - 1) {
+        const auto w = static_cast<std::uint32_t>(std::countr_zero(m));
+        if (row[w] == 0) {
+            why = "Main line in way " + std::to_string(w) +
+                  " has no recency stamp";
+            return false;
+        }
+    }
+    for (std::uint64_t d = deli; d != 0; d &= d - 1) {
+        const auto w = static_cast<std::uint32_t>(std::countr_zero(d));
+        if (row[w] == 0 || row[w] > fifoCounter) {
+            why = "Deli line in way " + std::to_string(w) +
+                  " has FIFO stamp " + std::to_string(row[w]) +
+                  " outside (0, " + std::to_string(fifoCounter) + "]";
+            return false;
+        }
+    }
+    // Stamps must be distinct within their region, or the LRU stack /
+    // FIFO order is ambiguous and victim choice diverges.
+    for (const bool in_main : {true, false}) {
+        const std::uint64_t region = in_main ? main : deli;
+        for (std::uint64_t a = region; a != 0; a &= a - 1) {
+            const auto w = static_cast<std::uint32_t>(std::countr_zero(a));
+            for (std::uint64_t b = a & (a - 1); b != 0; b &= b - 1) {
+                const auto v =
+                    static_cast<std::uint32_t>(std::countr_zero(b));
+                if (row[v] == row[w]) {
+                    why = std::string(in_main ? "Main recency"
+                                              : "Deli FIFO") +
+                          " stamp shared by ways " + std::to_string(w) +
+                          " and " + std::to_string(v);
+                    return false;
+                }
             }
         }
-        // Stamps must be distinct within their region, or the LRU
-        // stack / FIFO order is ambiguous and victim choice diverges.
-        for (std::uint32_t v = w + 1; v < set.ways(); ++v) {
-            if (!set.line(v).valid)
-                continue;
-            const LineMeta &o = meta[slot(set.setIndex(), v)];
-            if (o.region != m.region)
-                continue;
-            const bool clash = m.region == Region::Main
-                ? o.lastTouch == m.lastTouch
-                : o.fifoSeq == m.fifoSeq;
-            if (clash) {
-                why = std::string(m.region == Region::Main
-                                      ? "Main recency"
-                                      : "Deli FIFO") +
-                      " stamp shared by ways " + std::to_string(w) +
-                      " and " + std::to_string(v);
+    }
+    // A current admitted word must match the selection line by line;
+    // a stale one is re-derived before its next use.
+    const SetWords &words = setWords[s];
+    if (words.admittedGen == selectionGen) {
+        for (std::uint64_t v = set.validMask(); v != 0; v &= v - 1) {
+            const auto w = static_cast<std::uint32_t>(std::countr_zero(v));
+            if ((((words.admitted >> w) & 1) != 0) !=
+                isSelected(set.line(w).pc)) {
+                why = "admitted bit of way " + std::to_string(w) +
+                      " disagrees with the selection";
                 return false;
             }
         }
@@ -425,6 +445,8 @@ NUcachePolicy::checkInvariants(const SetView &set, std::string &why) const
     // sets re-converge lazily.
     if (cfg.adaptiveDeli)
         return true;
+    const std::uint32_t main_n = mainCount(set);
+    const auto deli_n = static_cast<std::uint32_t>(std::popcount(deli));
     if (main_n > mainWays()) {
         why = std::to_string(main_n) + " MainWays lines exceed the " +
               std::to_string(mainWays()) + "-way bound (W - D)";
@@ -436,7 +458,7 @@ NUcachePolicy::checkInvariants(const SetView &set, std::string &why) const
         return false;
     }
     // A full set must use all MainWays (fills always land there).
-    if (valid_n == set.ways() && main_n != mainWays()) {
+    if (main_n + deli_n == set.ways() && main_n != mainWays()) {
         why = "full set holds " + std::to_string(main_n) +
               " MainWays lines, expected " + std::to_string(mainWays());
         return false;

@@ -23,11 +23,34 @@
  *    paper describes.
  *  - While a set still has invalid ways, demotions fill the DeliWays
  *    regardless of selection (free space costs nothing).
+ *
+ * Per-line state is laid out like the cache's own tag store: per set,
+ * a `deli` bitmask word (bit w: way w is in the DeliWays) and an
+ * `admitted` word (bit w: way w was allocated by a selected PC), plus
+ * one row of W stamps.  A line's stamp is its recency tick while it
+ * is in the MainWays and its FIFO sequence number while it is in the
+ * DeliWays: every move between regions writes a fresh stamp, so one
+ * row serves both orders.  Every region query is a mask over the
+ * valid word: |Main| is popcount(valid & ~deli), and the Main-LRU, the
+ * FIFO-oldest and the oldest stale DeliWays line are first-minimum
+ * scans of the row over the set bits of a mask (the lowest way wins
+ * ties).  The hardware analogue is the paper's region bit and FIFO
+ * stamp per line.
+ *
+ * The admitted word replaces a selected-PC lookup per way on every
+ * victim search.  A fill sets its way's bit from the current
+ * selection.  A selection epoch that changes the admission list only
+ * bumps a generation counter; each set re-derives its word from its
+ * lines' allocating PCs on the first hook that needs it after the
+ * change (the set's word carries the generation it reflects).  The
+ * word may hold stale bits for invalid ways; every use masks them
+ * with the valid word.
  */
 
 #ifndef NUCACHE_CORE_NUCACHE_HH
 #define NUCACHE_CORE_NUCACHE_HH
 
+#include <bit>
 #include <unordered_set>
 #include <vector>
 
@@ -133,40 +156,70 @@ class NUcachePolicy : public ReplacementPolicy
     void runSelection();
 
   private:
-    enum class Region : std::uint8_t { Main, Deli };
-
-    struct LineMeta
+    /** Per-set region and admission words (see the file comment). */
+    struct SetWords
     {
-        Region region = Region::Main;
-        /** Recency stamp for the MainWays LRU stack. */
-        Tick lastTouch = 0;
-        /** Global FIFO stamp for DeliWays ordering. */
-        std::uint64_t fifoSeq = 0;
+        /** Bit w: way w is in the DeliWays. */
+        std::uint64_t deli = 0;
+        /** Bit w: way w's allocating PC is selected (valid ways). */
+        std::uint64_t admitted = 0;
+        /** selectionGen that `admitted` reflects. */
+        std::uint64_t admittedGen = 0;
+        /** The Next-Use monitor samples this set (cached). */
+        bool sampled = false;
     };
 
+    /** @return index of way 0 of @p set in `stamps`. */
     std::size_t
-    slot(std::uint32_t set, std::uint32_t way) const
+    rowOf(std::uint32_t set) const
     {
-        return static_cast<std::size_t>(set) * context.numWays + way;
+        return static_cast<std::size_t>(set) * context.numWays;
+    }
+
+    /** @return valid MainWays lines of @p set, as a way bitmask. */
+    std::uint64_t
+    mainMask(const SetView &set) const
+    {
+        return set.validMask() & ~setWords[set.setIndex()].deli;
+    }
+
+    /** @return |Main|, the number of valid MainWays lines of @p set. */
+    std::uint32_t
+    mainCount(const SetView &set) const
+    {
+        return static_cast<std::uint32_t>(std::popcount(mainMask(set)));
+    }
+
+    /** @return valid DeliWays lines of @p set, as a way bitmask. */
+    std::uint64_t
+    deliMask(const SetView &set) const
+    {
+        return set.validMask() & setWords[set.setIndex()].deli;
     }
 
     /** @return way of the LRU valid MainWays line; ways() if none. */
     std::uint32_t mainLruWay(const SetView &set) const;
 
-    /** @return way of the FIFO-oldest valid DeliWays line. */
-    std::uint32_t deliOldestWay(const SetView &set) const;
+    /**
+     * @return @p set's admitted word, first re-deriving it from the
+     * lines' allocating PCs if the selection changed since it was set.
+     */
+    std::uint64_t
+    admittedMask(const SetView &set)
+    {
+        const SetWords &words = setWords[set.setIndex()];
+        return words.admittedGen == selectionGen ? words.admitted
+                                                 : refreshAdmitted(set);
+    }
+
+    /** Re-derive @p set's admitted word; @return it. */
+    std::uint64_t refreshAdmitted(const SetView &set);
 
     /**
-     * @return way of the FIFO-oldest DeliWays line whose allocating PC
-     * is not currently selected; ways() if none.
+     * Demote Main-LRU lines until |Main| <= mainWays().  @p lru, unless
+     * it is ways(), is the way already known to be the Main-LRU.
      */
-    std::uint32_t staleDeliWay(const SetView &set) const;
-
-    /** @return count of valid lines labeled Main in @p set. */
-    std::uint32_t mainCount(const SetView &set) const;
-
-    /** Demote Main-LRU lines until |Main| <= mainWays(). */
-    void enforceMainBound(const SetView &set);
+    void enforceMainBound(const SetView &set, std::uint32_t lru);
 
     /** @return whether @p pc is admitted to the DeliWays. */
     bool isSelected(PC pc) const;
@@ -177,16 +230,24 @@ class NUcachePolicy : public ReplacementPolicy
     NextUseMonitorConfig effMonitor;
     std::uint64_t effEpochMisses = 100'000;
     std::uint32_t deliWays = 0;
-    std::vector<LineMeta> meta;
+    std::vector<SetWords> setWords;
+    /**
+     * One row of W stamps per set: a MainWays line's recency tick, or
+     * a DeliWays line's FIFO sequence number (the deli bit says which).
+     */
+    std::vector<std::uint64_t> stamps;
     NextUseMonitor numon;
     std::unordered_set<PC> selected;
+    /** Bumped whenever `selected` changes (admitted-word refresh). */
+    std::uint64_t selectionGen = 0;
     /**
      * Sampled MainWays hits by recency rank (0 = MRU): the opportunity
      * cost of shrinking the MainWays (adaptive mode).
      */
     std::vector<std::uint64_t> mainHitPos;
     std::uint64_t fifoCounter = 0;
-    std::uint64_t missCount = 0;
+    /** Misses left until the next selection epoch. */
+    std::uint64_t missesToEpoch = 0;
     std::uint64_t deliHitCount = 0;
     std::uint64_t leaseRefreshCount = 0;
     std::uint64_t epochCount = 0;

@@ -24,7 +24,11 @@
  * submodular; we use greedy ascent over the top-k delinquent PCs with
  * full window recomputation per step, which recovers the optimum for
  * the homogeneous-loop structure that dominates in practice and is
- * cheap enough for hardware firmware (k^2 histogram scans per epoch).
+ * cheap enough for hardware firmware.  Each call first takes every
+ * candidate's prefix-summed histogram (one pass over its buckets);
+ * after that, scoring one single-PC flip is an O(1) window placement
+ * in the shared bucket layout plus one lookup per member of S, so a
+ * search round costs O(k |S|) and no histogram is walked again.
  */
 
 #ifndef NUCACHE_CORE_PC_SELECTION_HH
@@ -67,6 +71,10 @@ struct SelectionResult
  * @param total_misses total misses in the same scale as the
  *                    candidates' `misses` fields.
  * @param cfg         pool/size limits.
+ * @param previous    last epoch's selection (warm start).
+ *
+ * Every candidate histogram must share one bucket layout, as the
+ * monitor's do; a mismatch is a panic.
  */
 SelectionResult
 selectDelinquentPcs(const std::vector<PcProfile> &candidates,

@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mem/cache_line.hh"
@@ -28,6 +29,16 @@ class LruPolicy;
 /** Static description of one cache level. */
 struct CacheConfig
 {
+    CacheConfig() = default;
+
+    /** A level of @p size_bytes, @p ways-way, @p block_size-byte lines. */
+    CacheConfig(std::string level_name, std::uint64_t size_bytes,
+                std::uint32_t associativity, std::uint32_t block_size)
+        : name(std::move(level_name)), sizeBytes(size_bytes),
+          ways(associativity), blockSize(block_size)
+    {
+    }
+
     std::string name = "cache";
     /** Total capacity in bytes; must be sets*ways*blockSize. */
     std::uint64_t sizeBytes = 1 << 20;

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/histogram.hh"
+#include "common/rng.hh"
 
 namespace nucache
 {
@@ -89,6 +92,92 @@ TEST(LogHistogram, CountAtOrBelowWholeAndFractionalBuckets)
     EXPECT_DOUBLE_EQ(h.countAtOrBelow(9), 0.0);
     // Limit = 10 covers 1 of the 2 values in [10,12).
     EXPECT_NEAR(h.countAtOrBelow(10), 50.0, 1e-9);
+}
+
+/**
+ * The limits that stress a layout: both edges of every bucket, one
+ * inside it, and the top of the range the selection queries.
+ */
+std::vector<std::uint64_t>
+edgeLimits(const LogHistogram &h)
+{
+    std::vector<std::uint64_t> limits;
+    for (unsigned b = 0; b < h.numBuckets(); ++b) {
+        limits.push_back(h.bucketLow(b));
+        limits.push_back(h.bucketHigh(b) - 1);
+        limits.push_back((h.bucketLow(b) + h.bucketHigh(b)) / 2);
+    }
+    limits.push_back(h.bucketHigh(h.numBuckets() - 1));
+    limits.push_back(std::numeric_limits<std::uint64_t>::max() / 2);
+    return limits;
+}
+
+/** The prefix CDF answers exactly (==) what the bucket walk answers. */
+void
+expectCdfMatches(const LogHistogram &h, const std::string &what)
+{
+    const LogHistogramCdf cdf(h);
+    for (const std::uint64_t limit : edgeLimits(h)) {
+        EXPECT_EQ(cdf.at(h.cut(limit)), h.countAtOrBelow(limit))
+            << what << ", limit " << limit;
+    }
+}
+
+TEST(LogHistogramCdf, EmptyHistogramIsZeroEverywhere)
+{
+    const LogHistogram h(32, 2);
+    expectCdfMatches(h, "empty");
+    EXPECT_EQ(LogHistogramCdf(h).at(h.cut(1000)), 0.0);
+}
+
+TEST(LogHistogramCdf, MatchesBucketWalkOnRandomHistograms)
+{
+    Rng rng(12);
+    for (int trial = 0; trial < 50; ++trial) {
+        const unsigned sub_bits = static_cast<unsigned>(rng.between(0, 3));
+        const unsigned max_log2 =
+            static_cast<unsigned>(rng.between(sub_bits + 1, 40));
+        LogHistogram h(max_log2, sub_bits);
+        // Sparse: most buckets stay zero, so runs of empty buckets
+        // sit between populated ones and at both ends.
+        const std::uint64_t adds = rng.between(1, 40);
+        for (std::uint64_t i = 0; i < adds; ++i) {
+            const std::uint64_t v = rng.below(std::uint64_t{1}
+                                              << rng.between(0, 45));
+            h.add(v, rng.between(1, 1'000'000));
+        }
+        if (trial % 2 == 1)
+            h.decay();
+        expectCdfMatches(h, "trial " + std::to_string(trial));
+    }
+}
+
+TEST(LogHistogramCdf, SaturatedLastBucket)
+{
+    LogHistogram h(10, 2);
+    h.add(5, 3);
+    h.add(std::uint64_t{1} << 40, 7);  // saturates into the last bucket
+    const unsigned last = h.numBuckets() - 1;
+    EXPECT_EQ(h.bucketOf(std::uint64_t{1} << 40), last);
+    expectCdfMatches(h, "saturated");
+    const LogHistogramCdf cdf(h);
+    EXPECT_EQ(cdf.at(h.cut(h.bucketHigh(last) - 1)), 10.0);
+    EXPECT_EQ(cdf.at(h.cut(std::numeric_limits<std::uint64_t>::max() / 2)),
+              10.0);
+    EXPECT_LT(cdf.at(h.cut(h.bucketLow(last))), 10.0);
+}
+
+TEST(LogHistogramCdf, CutLocatesTheLimit)
+{
+    const LogHistogram h(32, 2);
+    for (const std::uint64_t limit : edgeLimits(h)) {
+        const LogHistogram::Cut c = h.cut(limit);
+        if (c.bucket + 1 < h.numBuckets()) {
+            EXPECT_GE(limit, h.bucketLow(c.bucket));
+            EXPECT_LT(limit, h.bucketHigh(c.bucket));
+        }
+        EXPECT_EQ(c.whole, h.bucketHigh(c.bucket) <= limit + 1);
+    }
 }
 
 TEST(LogHistogram, DecayHalvesCounts)

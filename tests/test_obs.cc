@@ -253,8 +253,9 @@ TEST(Tracer, EmitsChromeTraceEventSchema)
             ASSERT_NE(e.find(key), nullptr) << key;
         const std::string &ph = e.at("ph").asString();
         EXPECT_TRUE(ph == "X" || ph == "i") << ph;
-        if (ph == "X")
+        if (ph == "X") {
             EXPECT_NE(e.find("dur"), nullptr);
+        }
         tids.insert(e.at("tid").asUint());
     }
     // The cross-thread span landed in its own buffer.

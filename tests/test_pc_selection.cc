@@ -2,13 +2,17 @@
  * @file
  * Tests for the cost-benefit PC-selection algorithm on crafted
  * profiles: the window shrinkage trade-off, flood avoidance, and
- * warm-start stability.
+ * warm-start stability; and, on randomized pools, exact agreement
+ * with a naive transcription of the algorithm.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <limits>
 
+#include "common/rng.hh"
 #include "core/pc_selection.hh"
 
 namespace nucache
@@ -184,6 +188,163 @@ TEST(PcSelection, ReportsWindow)
     const auto res = selectDelinquentPcs(views(made), 200, 1000);
     // frac = 100/1000 -> window = 200/0.1 = 2000.
     EXPECT_NEAR(res.window, 2000.0, 1.0);
+}
+
+/**
+ * Naive reference selection: the local search written directly, with
+ * every candidate set's benefit recomputed from scratch by walking
+ * each member's histogram buckets (LogHistogram::countAtOrBelow).
+ */
+double
+naiveBenefit(const std::vector<PcProfile> &candidates,
+             const std::vector<bool> &member, std::uint64_t capacity,
+             std::uint64_t total_misses, double &window_out)
+{
+    std::uint64_t inserts = 0;
+    for (std::size_t i = 0; i < member.size(); ++i) {
+        if (member[i])
+            inserts += std::max(candidates[i].retires, candidates[i].misses);
+    }
+    if (inserts == 0) {
+        window_out = 0.0;
+        return 0.0;
+    }
+    const double frac =
+        static_cast<double>(inserts) / static_cast<double>(total_misses);
+    const double window = static_cast<double>(capacity) / frac;
+    window_out = window;
+    constexpr std::uint64_t kCap =
+        std::numeric_limits<std::uint64_t>::max() / 2;
+    const std::uint64_t limit = window >= static_cast<double>(kCap)
+        ? kCap
+        : static_cast<std::uint64_t>(window);
+    double hits = 0.0;
+    for (std::size_t i = 0; i < member.size(); ++i) {
+        if (member[i] && candidates[i].nextUse)
+            hits += candidates[i].nextUse->countAtOrBelow(limit);
+    }
+    return hits;
+}
+
+SelectionResult
+naiveSelect(const std::vector<PcProfile> &candidates,
+            std::uint64_t capacity, std::uint64_t total_misses,
+            const PcSelectionConfig &cfg, const std::vector<PC> &previous)
+{
+    const std::size_t pool =
+        std::min<std::size_t>(candidates.size(), cfg.candidatePcs);
+    std::vector<bool> member(pool, false);
+    std::uint32_t chosen = 0;
+    for (std::size_t i = 0; i < pool; ++i) {
+        if (chosen < cfg.maxSelected &&
+            std::count(previous.begin(), previous.end(), candidates[i].pc)) {
+            member[i] = true;
+            ++chosen;
+        }
+    }
+    double window = 0.0;
+    double benefit =
+        naiveBenefit(candidates, member, capacity, total_misses, window);
+    for (unsigned round = 0; round < 2 * cfg.maxSelected + 4; ++round) {
+        double best = benefit;
+        double best_window = window;
+        std::size_t flip = pool;
+        for (std::size_t i = 0; i < pool; ++i) {
+            if (!member[i] && chosen >= cfg.maxSelected)
+                continue;
+            member[i] = !member[i];
+            double w = 0.0;
+            const double b =
+                naiveBenefit(candidates, member, capacity, total_misses, w);
+            member[i] = !member[i];
+            if (b > best) {
+                best = b;
+                best_window = w;
+                flip = i;
+            }
+        }
+        if (flip == pool)
+            break;
+        member[flip] = !member[flip];
+        chosen = member[flip] ? chosen + 1 : chosen - 1;
+        benefit = best;
+        window = best_window;
+    }
+    if (!previous.empty()) {
+        const SelectionResult fresh =
+            naiveSelect(candidates, capacity, total_misses, cfg, {});
+        if (fresh.expectedHits > benefit)
+            return fresh;
+    }
+    SelectionResult result;
+    for (std::size_t i = 0; i < pool; ++i) {
+        if (member[i])
+            result.selected.push_back(candidates[i].pc);
+    }
+    result.expectedHits = benefit;
+    result.window = window;
+    return result;
+}
+
+/**
+ * The prefix-CDF selection returns the naive reference's selection,
+ * expected hits and window exactly, on random pools of 16-256
+ * candidates, fresh and warm-started.
+ */
+TEST(PcSelection, MatchesNaiveReferenceOnRandomPools)
+{
+    Rng rng(2011);
+    std::size_t nonempty = 0;
+    for (int trial = 0; trial < 16; ++trial) {
+        const std::size_t n = rng.between(16, 256);
+        std::deque<LogHistogram> hists;
+        std::vector<PcProfile> candidates;
+        std::uint64_t total_misses = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            hists.emplace_back(32, 2);
+            // A few reuse bands per PC, log-uniform in distance.  Some
+            // counts are large enough that partial buckets round, so
+            // the order the hits are summed in shows in the total.
+            for (std::uint64_t b = rng.between(0, 4); b > 0; --b) {
+                const std::uint64_t d = rng.below(std::uint64_t{1}
+                                                  << rng.between(1, 22));
+                hists.back().add(d, rng.between(1, std::uint64_t{1}
+                                                       << rng.between(9, 40)));
+            }
+            PcProfile p;
+            p.pc = 0x400000 + 4 * i;
+            p.misses = rng.between(1, 2000);
+            p.retires = rng.between(0, 3000);
+            p.nextUse = rng.chance(0.05) ? nullptr : &hists.back();
+            total_misses += p.misses;
+            candidates.push_back(p);
+        }
+        const std::uint64_t capacity = rng.between(64, 65536);
+        PcSelectionConfig cfg;
+        cfg.candidatePcs = static_cast<std::uint32_t>(n);
+        cfg.maxSelected = static_cast<std::uint32_t>(rng.between(4, n));
+        const bool warm = trial % 2 == 1;
+        std::vector<PC> previous;
+        if (warm) {
+            for (const PcProfile &p : candidates) {
+                if (rng.chance(0.2))
+                    previous.push_back(p.pc);
+            }
+            previous.push_back(0x1);  // not in the pool
+        }
+
+        const SelectionResult fast = selectDelinquentPcs(
+            candidates, capacity, total_misses, cfg, previous);
+        const SelectionResult naive =
+            naiveSelect(candidates, capacity, total_misses, cfg, previous);
+        EXPECT_EQ(fast.selected, naive.selected) << "trial " << trial;
+        EXPECT_EQ(fast.expectedHits, naive.expectedHits)
+            << "trial " << trial;
+        EXPECT_EQ(fast.window, naive.window) << "trial " << trial;
+        nonempty += naive.selected.empty() ? 0 : 1;
+    }
+    // The pools must exercise the search, not just return nothing.
+    EXPECT_GT(nonempty, 12u);
 }
 
 TEST(PcSelection, TopKBaselinePicksByMisses)

@@ -165,8 +165,9 @@ runDigest(const std::string &policy, std::uint32_t slices,
     System sys(hier, makePolicy(policy), std::move(traces), 12000,
                check);
     sys.run();
-    if (check)
+    if (check) {
         EXPECT_GT(sys.invariantChecksRun(), 0u);
+    }
 
     std::ostringstream os;
     sys.statsJson().dump(os);

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/nucache.hh"
 #include "mem/hierarchy.hh"
 #include "mem/lru.hh"
@@ -40,6 +42,18 @@ struct Band
     double lo;
     double hi;
 };
+
+/**
+ * Print a Band by workload name.  Without this gtest dumps the raw
+ * object bytes, whose pointer field changes with every process
+ * (ASLR), so the test IDs that --gtest_list_tests reports and CTest
+ * registers would differ from build to build.
+ */
+void
+PrintTo(const Band &band, std::ostream *os)
+{
+    *os << band.workload;
+}
 
 class WorkloadClass : public ::testing::TestWithParam<Band>
 {
