@@ -53,15 +53,9 @@ class Fenwick
 
 ProfilePtr
 runPass(const std::string &label, TraceSourcePtr trace,
-        std::uint64_t records, const ProfileOptions &opt)
+        std::uint64_t records)
 {
-    HierarchyConfig hier = defaultHierarchy(1);
-    if (opt.slices != 0)
-        hier.llc.slices = opt.slices;
-    if (!opt.sliceHash.empty())
-        hier.llc.sliceHash = opt.sliceHash;
-    if (opt.shardJobs != 0)
-        hier.shardJobs = opt.shardJobs;
+    const HierarchyConfig hier = defaultHierarchy(1);
 
     auto profile = std::make_shared<WorkloadProfile>();
     profile->workload = label;
@@ -231,18 +225,17 @@ WorkloadProfile::toJson() const
 }
 
 ProfilePtr
-collectProfile(const std::string &workload, std::uint64_t records,
-               const ProfileOptions &opt)
+collectProfile(const std::string &workload, std::uint64_t records)
 {
     return runPass(workload, TraceArena::instance().open(workload),
-                   records, opt);
+                   records);
 }
 
 ProfilePtr
 collectProfileFromTrace(const std::string &label, TraceSourcePtr trace,
                         std::uint64_t records)
 {
-    return runPass(label, std::move(trace), records, ProfileOptions{});
+    return runPass(label, std::move(trace), records);
 }
 
 ProfileStore &

@@ -292,8 +292,13 @@ TEST(Tracer, RingOverwritesOldestWhenFull)
     obs::Tracer &tracer = obs::Tracer::instance();
     tracer.reset();
     tracer.start("");
-    for (std::size_t i = 0; i < obs::Tracer::kRingCapacity + 10; ++i)
-        tracer.instant("e" + std::to_string(i), "test");
+    for (std::size_t i = 0; i < obs::Tracer::kRingCapacity + 10; ++i) {
+        // Appended rather than `"e" + std::to_string(i)`: GCC 12 at -O3
+        // raises a false -Wrestrict on that operator+ overload.
+        std::string name = "e";
+        name += std::to_string(i);
+        tracer.instant(name, "test");
+    }
     tracer.stop();
     EXPECT_EQ(tracer.pendingEvents(), obs::Tracer::kRingCapacity);
     EXPECT_EQ(tracer.droppedEvents(), 10u);

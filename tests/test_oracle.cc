@@ -3,10 +3,15 @@
  * Tests for the differential oracle: the naive reference simulator's
  * own semantics, and lockstep agreement between the reference and the
  * production Cache for LRU, NRU and NUcache across the entire workload
- * catalog, plus NUcache on the shared-LLC stream of an eight-core mix.
+ * catalog, plus NUcache on the shared-LLC streams of the canonical
+ * multicore mixes.
  */
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "check/oracle.hh"
 #include "core/nucache.hh"
@@ -232,20 +237,48 @@ TEST(DifferentialOracle, NUcacheDetectsMissingSelection)
     EXPECT_GT(total_divergences, 0u);
 }
 
+/** @return the canonical mix named @p name (2, 4 or 8 cores). */
+const WorkloadMix &
+canonicalMix(const std::string &name)
+{
+    for (const unsigned cores : {2u, 4u, 8u}) {
+        for (const WorkloadMix &mix : mixesForCores(cores)) {
+            if (mix.name == name)
+                return mix;
+        }
+    }
+    throw std::invalid_argument("no canonical mix " + name);
+}
+
+/** Every eight-core mix plus the first dual- and quad-core mix. */
+std::vector<std::string>
+oracleMixNames()
+{
+    std::vector<std::string> names = {dualCoreMixes().front().name,
+                                      quadCoreMixes().front().name};
+    for (const WorkloadMix &mix : eightCoreMixes())
+        names.push_back(mix.name);
+    return names;
+}
+
+class DifferentialOracleMix : public ::testing::TestWithParam<std::string>
+{
+};
+
 /**
- * NUcache lockstep agreement on the shared-LLC stream of the first
- * canonical eight-core mix: the LLC demand stream of a real System
- * run, with the per-core-scaled candidate pool of the paper's
- * Figure 6 setting.
+ * NUcache lockstep agreement on the shared-LLC stream of a canonical
+ * mix: the LLC demand stream of a real System run, with the
+ * per-core-scaled candidate pool of the paper's Figures 4-6.
  */
-TEST(DifferentialOracle, NUcacheAgreesOnEightCoreLlcStream)
+TEST_P(DifferentialOracleMix, NUcacheAgreesOnLlcStream)
 {
     constexpr std::uint64_t kMixRecords = 100'000;
-    const WorkloadMix &mix = eightCoreMixes().front();
+    const WorkloadMix &mix = canonicalMix(GetParam());
+    const auto cores = static_cast<unsigned>(mix.workloads.size());
     std::vector<TraceSourcePtr> traces;
     for (const auto &w : mix.workloads)
         traces.push_back(makeWorkload(w));
-    System sys(defaultHierarchy(8), makePolicy("nucache"),
+    System sys(defaultHierarchy(cores), makePolicy("nucache"),
                std::move(traces), kMixRecords,
                /*check_invariants=*/false);
     Cache &llc = sys.hierarchy().llc();
@@ -279,6 +312,9 @@ TEST(DifferentialOracle, NUcacheAgreesOnEightCoreLlcStream)
         << report.firstDivergence;
     EXPECT_EQ(report.referenceHits, report.productionHits);
 }
+
+INSTANTIATE_TEST_SUITE_P(CanonicalMixes, DifferentialOracleMix,
+                         ::testing::ValuesIn(oracleMixNames()));
 
 TEST(DifferentialOracle, HonorsRecordBudget)
 {
