@@ -142,69 +142,4 @@ LogHistogram::merge(const LogHistogram &other)
     totalCount += other.totalCount;
 }
 
-LinearHistogram::LinearHistogram(std::uint64_t bucket_width,
-                                 unsigned num_buckets)
-    : width(bucket_width), counts(num_buckets, 0), totalCount(0)
-{
-    if (bucket_width == 0)
-        fatal("LinearHistogram bucket width must be non-zero");
-    if (num_buckets == 0)
-        fatal("LinearHistogram needs at least one bucket");
-}
-
-void
-LinearHistogram::add(std::uint64_t value, std::uint64_t count)
-{
-    const std::uint64_t b =
-        std::min<std::uint64_t>(value / width, counts.size() - 1);
-    counts[static_cast<std::size_t>(b)] += count;
-    totalCount += count;
-}
-
-double
-LinearHistogram::mean() const
-{
-    if (totalCount == 0)
-        return 0.0;
-    double sum = 0.0;
-    for (unsigned b = 0; b < numBuckets(); ++b) {
-        const double mid = (static_cast<double>(b) + 0.5) *
-                           static_cast<double>(width);
-        sum += mid * static_cast<double>(counts[b]);
-    }
-    return sum / static_cast<double>(totalCount);
-}
-
-std::uint64_t
-LinearHistogram::quantile(double q) const
-{
-    if (totalCount == 0)
-        return 0;
-    const double target = q * static_cast<double>(totalCount);
-    double seen = 0.0;
-    for (unsigned b = 0; b < numBuckets(); ++b) {
-        seen += static_cast<double>(counts[b]);
-        if (seen >= target)
-            return static_cast<std::uint64_t>(b + 1) * width;
-    }
-    return static_cast<std::uint64_t>(numBuckets()) * width;
-}
-
-void
-LinearHistogram::decay()
-{
-    totalCount = 0;
-    for (auto &c : counts) {
-        c >>= 1;
-        totalCount += c;
-    }
-}
-
-void
-LinearHistogram::clear()
-{
-    std::fill(counts.begin(), counts.end(), 0);
-    totalCount = 0;
-}
-
 } // namespace nucache

@@ -2,18 +2,16 @@
  * @file
  * Bucketed histograms.
  *
- * Two flavours are provided:
- *  - LogHistogram: log-linear ("HDR") buckets — each power-of-two
- *    octave is split into 2^subBits linear sub-buckets.  This is the
- *    hardware-plausible shape used by the Next-Use monitor: a modest
- *    array of saturating counters indexed by the distance's exponent
- *    and a couple of mantissa bits, giving ~12-25% relative resolution
- *    at any magnitude (plain power-of-two buckets are too coarse for
- *    the selection algorithm's window test near the knee).
- *  - LinearHistogram: fixed-width buckets, used by analysis tooling.
- *
- * Both support the epoch-decay operation (halving all counters) that
- * the paper family uses to age profile information.
+ * LogHistogram has log-linear ("HDR") buckets: each power-of-two
+ * octave is split into 2^subBits linear sub-buckets.  This is the
+ * hardware-plausible shape used by the Next-Use monitor: a modest
+ * array of saturating counters indexed by the distance's exponent and
+ * a couple of mantissa bits, giving ~12-25% relative resolution at any
+ * magnitude (plain power-of-two buckets are too coarse for the
+ * selection algorithm's window test near the knee).  It supports the
+ * epoch-decay operation (halving all counters) that the paper family
+ * uses to age profile information; LogHistogramCdf is an O(1)
+ * cumulative view of one.
  */
 
 #ifndef NUCACHE_COMMON_HISTOGRAM_HH
@@ -147,55 +145,6 @@ class LogHistogramCdf
     std::vector<double> below;
     /** Bucket counts as double. */
     std::vector<double> counts;
-};
-
-/**
- * Histogram with fixed-width buckets over [0, width * num_buckets).
- * Values beyond the range saturate into the last bucket.
- */
-class LinearHistogram
-{
-  public:
-    LinearHistogram(std::uint64_t bucket_width, unsigned num_buckets);
-
-    /** Add @p count observations of @p value. */
-    void add(std::uint64_t value, std::uint64_t count = 1);
-
-    /** @return the raw count in bucket @p b. */
-    std::uint64_t count(unsigned b) const { return counts[b]; }
-
-    /** @return the number of buckets. */
-    unsigned
-    numBuckets() const
-    {
-        return static_cast<unsigned>(counts.size());
-    }
-
-    /** @return the bucket width. */
-    std::uint64_t bucketWidth() const { return width; }
-
-    /** @return the total number of observations. */
-    std::uint64_t total() const { return totalCount; }
-
-    /** @return mean of observed values (bucket midpoints). */
-    double mean() const;
-
-    /**
-     * @return the smallest bucket upper bound below which at least
-     * fraction @p q of the observations fall (an approximate quantile).
-     */
-    std::uint64_t quantile(double q) const;
-
-    /** Halve every counter (epoch aging). */
-    void decay();
-
-    /** Zero every counter. */
-    void clear();
-
-  private:
-    std::uint64_t width;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t totalCount;
 };
 
 } // namespace nucache

@@ -47,7 +47,7 @@ struct TelemetrySeries
     std::vector<std::uint64_t> at;
     /** data[column][row], parallel to `columns` x `at`. */
     std::vector<std::vector<double>> data;
-    /** End-of-run statistics blocks (StatGroup::dumpJson output). */
+    /** End-of-run statistics tree (System::statsJson output). */
     Json finalStats = Json::object();
 
     /** @return the series as a JSON object (one entry of the dump). */

@@ -315,8 +315,6 @@ opName(Op op)
         return "run_mix";
       case Op::RunTrace:
         return "run_trace";
-      case Op::Stats:
-        return "stats";
       case Op::Metrics:
         return "metrics";
       case Op::Health:
@@ -365,9 +363,9 @@ parseRequest(const std::string &line, Request &out, std::string &err)
     }
     const std::string &opname = op->asString();
     static const std::vector<std::pair<std::string, Op>> ops = {
-        {"run_mix", Op::RunMix},     {"run_trace", Op::RunTrace},
-        {"stats", Op::Stats},        {"metrics", Op::Metrics},
-        {"health", Op::Health},      {"shutdown", Op::Shutdown},
+        {"run_mix", Op::RunMix}, {"run_trace", Op::RunTrace},
+        {"metrics", Op::Metrics}, {"health", Op::Health},
+        {"shutdown", Op::Shutdown},
     };
     const auto it =
         std::find_if(ops.begin(), ops.end(),
@@ -419,7 +417,6 @@ parseRequest(const std::string &line, Request &out, std::string &err)
         }
         break;
       }
-      case Op::Stats:
       case Op::Health:
       case Op::Shutdown:
         if (p.size() != 0) {

@@ -6,8 +6,8 @@
  * Request line:
  *   {"v": "nucache-rpc/v1",      // optional, v1 assumed
  *    "id": 7,                    // optional u64, echoed back
- *    "op": "run_mix" | "run_trace" | "stats" | "metrics" |
- *          "health" | "shutdown",
+ *    "op": "run_mix" | "run_trace" | "metrics" | "health" |
+ *          "shutdown",
  *    "deadline_ms": 30000,       // optional queue deadline override
  *    "params": { ... }}          // op-specific, see below
  *
@@ -21,7 +21,7 @@
  *                  {"content_type": "text/plain; version=0.0.4",
  *                  "text": "..."} carrying the same series in
  *                  Prometheus text exposition format.  Answered
- *                  inline on the event loop, like health/stats.
+ *                  inline on the event loop, like health.
  *
  * run_mix params:  {"workloads": ["loop_medium", "stream_pure"]} or
  *                  {"mix": "mix2_01"} (a canonical 2/4/8-core mix),
@@ -126,7 +126,6 @@ enum class Op
 {
     RunMix,
     RunTrace,
-    Stats,
     Metrics,
     Health,
     Shutdown,

@@ -10,7 +10,9 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "model/profile.hh"
 #include "obs/metrics.hh"
+#include "trace/arena.hh"
 
 namespace nucache::serve
 {
@@ -73,7 +75,7 @@ classifyResponse(const Request &req, const Json &response)
                                       : RequestClass::Exact;
 }
 
-/** @return a sum over the aggregated service stats @p svc. */
+/** @return counter @p key of one shard's service block, 0 if absent. */
 std::uint64_t
 svcCount(const Json &svc, const char *key)
 {
@@ -469,12 +471,6 @@ Server::handleLine(std::uint64_t conn_id, Connection &conn,
             trace.executed = Clock::now();
         queueSlotResponse(conn_id, conn.nextSeq++,
                           okResponse(req, healthResult()), trace);
-        return;
-      case Op::Stats:
-        if (trace.live)
-            trace.executed = Clock::now();
-        queueSlotResponse(conn_id, conn.nextSeq++,
-                          okResponse(req, statsJson()), trace);
         return;
       case Op::Metrics: {
         metrics.scrapes.fetch_add(1, std::memory_order_relaxed);
@@ -911,68 +907,7 @@ Server::healthResult() const
     r["version"] = kProtocolVersion;
     r["uptime_ms"] = elapsedMs(started, Clock::now());
     r["shards"] = std::uint64_t{shards.size()};
-    // Kept for pre-metrics clients that read the old member name.
-    r["serve_shards"] = std::uint64_t{shards.size()};
     return r;
-}
-
-Json
-Server::statsJson() const
-{
-    Json s = Json::object();
-    s["uptime_ms"] = elapsedMs(started, Clock::now());
-    {
-        std::lock_guard<std::mutex> lock(connsMtx);
-        s["connections"] = std::uint64_t{conns.size()};
-    }
-    std::uint64_t queued = 0;
-    for (const auto &shard : shards) {
-        std::lock_guard<std::mutex> lock(shard->mtx);
-        queued += shard->queue.size();
-    }
-    s["queue_len"] = queued;
-    s["queue_depth"] = std::uint64_t{cfg.queueDepth};
-    s["serve_shards"] = std::uint64_t{shards.size()};
-    s["batch_max"] = std::uint64_t{cfg.batchMax};
-    s["max_connections"] = std::uint64_t{cfg.maxConnections};
-    s["max_outbound_bytes"] = std::uint64_t{cfg.maxOutboundBytes};
-    s["accepted"] = accepted.load();
-    s["rejected_connections"] = rejectedConns.load();
-    s["requests"] = requests.load();
-    s["responses"] = responses.load();
-    s["bad_requests"] = badRequests.load();
-    s["too_large"] = tooLarge.load();
-    s["overloads"] = overloads.load();
-    s["deadline_expired"] = deadlineExpired.load();
-    s["rejected_shutting_down"] = rejectedShutdown.load();
-    s["dropped_responses"] = droppedResponses.load();
-    s["slow_clients"] = slowClients.load();
-    // Aggregate the per-shard service counters into one block (the
-    // pre-sharding shape tools already parse); per-engine state like
-    // jobs and the process-global arena count come from shard 0.
-    // profiles_built is process-global too (the shared ProfileStore):
-    // every shard reports the same store, so summing it would
-    // overcount by the shard count.
-    Json agg = Json::object();
-    bool first = true;
-    for (const auto &shard : shards) {
-        const Json one = shard->service.statsJson();
-        if (first) {
-            agg = one;
-            first = false;
-            continue;
-        }
-        for (const auto &[key, value] : one.members()) {
-            if (key == "jobs" || key == "default_records" ||
-                key == "arena_materializations" ||
-                key == "profiles_built")
-                continue;
-            if (value.isNumber())
-                agg[key] = agg.at(key).asUint() + value.asUint();
-        }
-    }
-    s["service"] = std::move(agg);
-    return s;
 }
 
 Json
@@ -1012,6 +947,11 @@ Server::metricsJson() const
     process["uptime_ms"] = elapsedMs(started, Clock::now());
     process["rss_bytes"] = obs::processRssBytes();
     process["threads"] = obs::processThreadCount();
+    // Process-global stores shared by every shard: reported once here,
+    // never per shard, so no reader sums them across shard rows.
+    process["profiles_built"] = model::ProfileStore::instance().built();
+    process["arena_materializations"] =
+        TraceArena::instance().materializations();
     m["process"] = std::move(process);
 
     Json byClass = Json::object();

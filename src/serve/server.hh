@@ -9,7 +9,7 @@
  * engine workers behind them:
  *  - the event-loop thread owns every socket and a level-triggered
  *    epoll set: it accepts connections, splits the byte stream into
- *    request lines, answers the cheap control ops (health, stats,
+ *    request lines, answers the cheap control ops (health, metrics,
  *    shutdown) inline, admits run requests to a bounded per-shard
  *    queue, and flushes per-connection outbound buffers on
  *    EPOLLOUT.  Nothing on this thread ever blocks on a socket: all
@@ -165,9 +165,6 @@ class Server
     {
         return stopping.load(std::memory_order_acquire);
     }
-
-    /** @return server + aggregated service counters (op "stats"). */
-    Json statsJson() const;
 
     /** @return the nucache-metrics/v1 document (op "metrics"):
      *  latency histograms by request class and phase, per-shard

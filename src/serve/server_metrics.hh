@@ -54,7 +54,7 @@ enum class RequestClass : unsigned
     Estimate,
     /** run_trace through a shard dispatcher. */
     Trace,
-    /** health / stats / metrics / shutdown, answered inline. */
+    /** health / metrics / shutdown, answered inline. */
     Control,
     /** Any error response (bad_request, overload, deadline, ...). */
     Error,

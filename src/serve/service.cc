@@ -585,7 +585,6 @@ SimulationService::statsJson() const
     s["telemetry_runs"] = stats.telemetryRuns;
     s["estimates"] = stats.estimates;
     s["estimates_inline"] = stats.estimatesInline;
-    s["profiles_built"] = model::ProfileStore::instance().built();
     s["streamed_runs"] = stats.streamedRuns;
     s["stream_frames"] = stats.streamFrames;
     s["engines"] = std::uint64_t{engines.size()};
@@ -599,8 +598,6 @@ SimulationService::statsJson() const
         alone += engine->aloneRunCount();
     }
     s["alone_runs"] = alone;
-    s["arena_materializations"] =
-        TraceArena::instance().materializations();
     s["jobs"] = cfg.jobs;
     s["default_records"] = cfg.defaultRecords;
     return s;

@@ -119,7 +119,8 @@ class SimulationService
      */
     bool tryEstimate(const Request &req, std::string &result_payload);
 
-    /** @return service counters as a JSON object (for op "stats"). */
+    /** @return this shard's service counters as a JSON object (the
+     *  `service` member of its metrics shard row). */
     Json statsJson() const;
 
     /** @return the measurement window for requests that omit it. */

@@ -1,10 +1,8 @@
 #include "sim/system.hh"
 
 #include <algorithm>
-#include <ostream>
 
 #include "common/logging.hh"
-#include "common/stats.hh"
 #include "core/nucache.hh"
 #include "obs/obs_mode.hh"
 #include "policy/dip.hh"
@@ -237,62 +235,47 @@ System::invariantChecksRun() const
     return total;
 }
 
-void
-System::forEachStatGroup(
-    const std::function<void(StatGroup &)> &emit) const
-{
-    const auto fill_cache = [](StatGroup &g, const CacheCoreStats &s) {
-        g.counter("accesses") = s.accesses;
-        g.counter("hits") = s.hits;
-        g.counter("misses") = s.misses;
-        if (s.prefetches != 0) {
-            g.counter("prefetches") = s.prefetches;
-            g.counter("prefetch_fills") = s.prefetchFills;
-        }
-        g.setScalar("miss_rate", s.missRate());
-    };
-
-    for (const auto &cpu : cpus) {
-        StatGroup core("cpu" + std::to_string(cpu->id()));
-        core.counter("instructions") = cpu->instructionsAtTarget();
-        core.counter("cycles") = cpu->cyclesAtTarget();
-        core.counter("records") = cpu->recordsReplayed();
-        core.counter("trace_wraps") = cpu->wraps();
-        core.setScalar("ipc", cpu->ipc());
-        emit(core);
-
-        StatGroup l1("cpu" + std::to_string(cpu->id()) + ".l1");
-        fill_cache(l1, hier->l1(cpu->id()).coreStats(cpu->id()));
-        emit(l1);
-
-        StatGroup llc("cpu" + std::to_string(cpu->id()) + ".llc");
-        fill_cache(llc, hier->llc().coreStats(cpu->id()));
-        emit(llc);
-    }
-
-    StatGroup llc("llc");
-    fill_cache(llc, hier->llc().totalStats());
-    llc.counter("writebacks") = hier->llc().writebacks();
-    emit(llc);
-
-    StatGroup dram("dram");
-    dram.counter("reads") = hier->dram().reads();
-    dram.counter("writes") = hier->dram().writes();
-    dram.counter("queueing_cycles") = hier->dram().queueingCycles();
-    emit(dram);
-}
-
-void
-System::dumpStats(std::ostream &os) const
-{
-    forEachStatGroup([&os](StatGroup &g) { g.dump(os); });
-}
-
 Json
 System::statsJson() const
 {
+    // Within each group, members are written in sorted key order:
+    // bench, telemetry and run_trace documents are compared byte for
+    // byte across commits, so a new member goes in at its sorted place.
+    const auto cache_group = [](const CacheCoreStats &s) {
+        Json g = Json::object();
+        g["accesses"] = s.accesses;
+        g["hits"] = s.hits;
+        g["miss_rate"] = s.missRate();
+        g["misses"] = s.misses;
+        if (s.prefetches != 0) {
+            g["prefetch_fills"] = s.prefetchFills;
+            g["prefetches"] = s.prefetches;
+        }
+        return g;
+    };
+
     Json root = Json::object();
-    forEachStatGroup([&root](StatGroup &g) { g.dumpJson(root); });
+    for (const auto &cpu : cpus) {
+        const std::string name = "cpu" + std::to_string(cpu->id());
+        Json &core = root[name] = Json::object();
+        core["cycles"] = cpu->cyclesAtTarget();
+        core["instructions"] = cpu->instructionsAtTarget();
+        core["ipc"] = cpu->ipc();
+        core["records"] = cpu->recordsReplayed();
+        core["trace_wraps"] = cpu->wraps();
+        root[name + ".l1"] =
+            cache_group(hier->l1(cpu->id()).coreStats(cpu->id()));
+        root[name + ".llc"] =
+            cache_group(hier->llc().coreStats(cpu->id()));
+    }
+
+    Json &llc = root["llc"] = cache_group(hier->llc().totalStats());
+    llc["writebacks"] = hier->llc().writebacks();
+
+    Json &dram = root["dram"] = Json::object();
+    dram["queueing_cycles"] = hier->dram().queueingCycles();
+    dram["reads"] = hier->dram().reads();
+    dram["writes"] = hier->dram().writes();
     return root;
 }
 

@@ -10,7 +10,6 @@
 #ifndef NUCACHE_SIM_SYSTEM_HH
 #define NUCACHE_SIM_SYSTEM_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,7 +17,6 @@
 #include "check/check_mode.hh"
 #include "check/checker.hh"
 #include "common/json.hh"
-#include "common/stats.hh"
 #include "mem/hierarchy.hh"
 #include "obs/telemetry.hh"
 #include "sim/cpu.hh"
@@ -72,12 +70,11 @@ class System
     SystemResult run();
 
     /**
-     * Dump the full statistics tree (per-core CPUs, per-level caches,
-     * DRAM) in gem5-style "group.key value" lines.  Call after run().
+     * @return the full statistics tree (per-core CPUs, per-level
+     * caches, DRAM) as one JSON object with a member per group
+     * ("cpu0", "cpu0.l1", "cpu0.llc", ..., "llc", "dram").  Call
+     * after run().
      */
-    void dumpStats(std::ostream &os) const;
-
-    /** @return the same statistics tree as nested JSON objects. */
     Json statsJson() const;
 
     /**
@@ -96,10 +93,6 @@ class System
     std::uint64_t invariantChecksRun() const;
 
   private:
-    /** Build every StatGroup of the tree and hand it to @p emit. */
-    void forEachStatGroup(const std::function<void(StatGroup &)> &emit)
-        const;
-
     /** Create the sampler and register every applicable probe. */
     void setupTelemetry(std::uint64_t interval);
 

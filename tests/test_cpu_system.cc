@@ -5,7 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
+#include <vector>
 
 #include "mem/lru.hh"
 #include "sim/system.hh"
@@ -130,23 +131,65 @@ TEST(System, DeterministicAcrossRuns)
     EXPECT_EQ(a.dramReads, b.dramReads);
 }
 
-TEST(System, DumpStatsEmitsFullTree)
+/** @return the member names of @p group, in document order. */
+std::vector<std::string>
+memberNames(const Json &group)
 {
-    std::vector<TraceSourcePtr> traces;
-    traces.push_back(
-        std::make_unique<VectorTraceSource>("a", simpleTrace(50)));
-    System sys(tinyHierarchy(1), std::make_unique<LruPolicy>(),
-               std::move(traces), 50);
-    sys.run();
-    std::ostringstream os;
-    sys.dumpStats(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("cpu0.instructions"), std::string::npos);
-    EXPECT_NE(out.find("cpu0.l1.accesses"), std::string::npos);
-    EXPECT_NE(out.find("cpu0.llc.misses"), std::string::npos);
-    EXPECT_NE(out.find("llc.writebacks"), std::string::npos);
-    EXPECT_NE(out.find("dram.reads"), std::string::npos);
-    EXPECT_NE(out.find("cpu0.ipc"), std::string::npos);
+    std::vector<std::string> names;
+    for (const auto &[key, value] : group.members()) {
+        (void)value;
+        names.push_back(key);
+    }
+    return names;
+}
+
+TEST(System, StatsJsonPinsTreeShape)
+{
+    const auto stats = [](bool prefetch) {
+        HierarchyConfig cfg = tinyHierarchy(2);
+        cfg.prefetch.enabled = prefetch;
+        std::vector<TraceSourcePtr> traces;
+        traces.push_back(
+            std::make_unique<VectorTraceSource>("a", simpleTrace(64)));
+        traces.push_back(std::make_unique<VectorTraceSource>(
+            "b", simpleTrace(64, 128)));
+        System sys(cfg, std::make_unique<LruPolicy>(), std::move(traces),
+                   150);
+        sys.run();
+        return sys.statsJson();
+    };
+    using Names = std::vector<std::string>;
+    const Names cache = {"accesses", "hits", "miss_rate", "misses"};
+    const Names cache_pf = {"accesses", "hits",           "miss_rate",
+                            "misses",   "prefetch_fills", "prefetches"};
+
+    // Groups are flat members of one object, per core then shared.
+    const Json plain = stats(false);
+    EXPECT_EQ(memberNames(plain),
+              (Names{"cpu0", "cpu0.l1", "cpu0.llc", "cpu1", "cpu1.l1",
+                     "cpu1.llc", "llc", "dram"}));
+    EXPECT_EQ(memberNames(plain.at("cpu0")),
+              (Names{"cycles", "instructions", "ipc", "records",
+                     "trace_wraps"}));
+    EXPECT_EQ(memberNames(plain.at("cpu0.l1")), cache);
+    EXPECT_EQ(memberNames(plain.at("cpu0.llc")), cache);
+    EXPECT_EQ(memberNames(plain.at("llc")),
+              (Names{"accesses", "hits", "miss_rate", "misses",
+                     "writebacks"}));
+    EXPECT_EQ(memberNames(plain.at("dram")),
+              (Names{"queueing_cycles", "reads", "writes"}));
+    EXPECT_GT(plain.at("cpu0").at("instructions").asUint(), 0u);
+    EXPECT_GT(plain.at("dram").at("reads").asUint(), 0u);
+
+    // The prefetch counters appear only where prefetches were issued:
+    // the stride prefetcher fills the LLC, never the L1.
+    const Json pf = stats(true);
+    EXPECT_EQ(memberNames(pf.at("cpu0.l1")), cache);
+    EXPECT_EQ(memberNames(pf.at("cpu0.llc")), cache_pf);
+    EXPECT_EQ(memberNames(pf.at("llc")),
+              (Names{"accesses", "hits", "miss_rate", "misses",
+                     "prefetch_fills", "prefetches", "writebacks"}));
+    EXPECT_GT(pf.at("cpu0.llc").at("prefetches").asUint(), 0u);
 }
 
 TEST(SystemDeathTest, TraceCountMustMatchCores)

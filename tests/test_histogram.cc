@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the log-linear and linear histograms, including the
+ * Tests for the log-linear histogram and its CDF view, including the
  * bucket-boundary algebra the Next-Use monitor depends on.
  */
 
@@ -230,50 +230,6 @@ TEST_P(LogHistogramSubBits, BoundsStayConsistent)
 
 INSTANTIATE_TEST_SUITE_P(Resolutions, LogHistogramSubBits,
                          ::testing::Values(0u, 1u, 2u, 3u, 4u));
-
-TEST(LinearHistogram, BucketsAndSaturation)
-{
-    LinearHistogram h(10, 5);
-    h.add(0);
-    h.add(9);
-    h.add(10);
-    h.add(49);
-    h.add(1000);  // saturates into bucket 4
-    EXPECT_EQ(h.count(0), 2u);
-    EXPECT_EQ(h.count(1), 1u);
-    EXPECT_EQ(h.count(4), 2u);
-    EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(LinearHistogram, MeanUsesBucketMidpoints)
-{
-    LinearHistogram h(10, 10);
-    h.add(5, 4);  // bucket 0, midpoint 5
-    EXPECT_DOUBLE_EQ(h.mean(), 5.0);
-    h.add(15, 4);  // bucket 1, midpoint 15
-    EXPECT_DOUBLE_EQ(h.mean(), 10.0);
-}
-
-TEST(LinearHistogram, Quantile)
-{
-    LinearHistogram h(10, 10);
-    for (int i = 0; i < 90; ++i)
-        h.add(5);
-    for (int i = 0; i < 10; ++i)
-        h.add(95);
-    EXPECT_EQ(h.quantile(0.5), 10u);
-    EXPECT_EQ(h.quantile(0.95), 100u);
-}
-
-TEST(LinearHistogram, DecayAndClear)
-{
-    LinearHistogram h(10, 4);
-    h.add(5, 8);
-    h.decay();
-    EXPECT_EQ(h.total(), 4u);
-    h.clear();
-    EXPECT_EQ(h.total(), 0u);
-}
 
 } // anonymous namespace
 } // namespace nucache

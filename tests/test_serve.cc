@@ -154,18 +154,18 @@ TEST_F(ServeTest, AloneRunsAndArenaAreReusedAcrossRequests)
         R"({"op":"run_mix","params":{"mix":"mix2_01",)"
         R"("no_cache":true}})";
     ASSERT_TRUE(client.call(uncached).at("ok").asBool());
-    const Json stats1 = client.call(R"({"op":"stats"})");
+    const Json m1 = client.call(R"({"op":"metrics"})").at("result");
     ASSERT_TRUE(client.call(uncached).at("ok").asBool());
-    const Json stats2 = client.call(R"({"op":"stats"})");
+    const Json m2 = client.call(R"({"op":"metrics"})").at("result");
 
-    const Json &svc1 = stats1.at("result").at("service");
-    const Json &svc2 = stats2.at("result").at("service");
+    const Json &svc1 = m1.at("shards").at(0).at("service");
+    const Json &svc2 = m2.at("shards").at(0).at("service");
     EXPECT_EQ(svc2.at("cache_hits").asUint(),
               svc1.at("cache_hits").asUint());
     EXPECT_EQ(svc2.at("alone_runs").asUint(),
               svc1.at("alone_runs").asUint());
-    EXPECT_EQ(svc2.at("arena_materializations").asUint(),
-              svc1.at("arena_materializations").asUint());
+    EXPECT_EQ(m2.at("process").at("arena_materializations").asUint(),
+              m1.at("process").at("arena_materializations").asUint());
 }
 
 TEST_F(ServeTest, TelemetryRequestAttachesDocument)
@@ -229,20 +229,27 @@ TEST_F(ServeTest, FullQueueAnswersOverload)
         R"("records":1000000,"telemetry":100000}})"));
 
     TestClient client(server->port());
-    Json stats;
+    Json metrics;
     do {
-        stats = client.call(R"({"op":"stats"})");
-    } while (stats.at("result").at("service").at("batches").asUint() ==
-             0);
+        metrics = client.call(R"({"op":"metrics"})");
+    } while (metrics.at("result")
+                 .at("shards")
+                 .at(0)
+                 .at("service")
+                 .at("batches")
+                 .asUint() == 0);
 
     // Two admissions back-to-back: the first fills the queue while
     // the dispatcher is busy, the second must get explicit
     // backpressure instead of an unbounded queue or a stalled socket.
+    // Both carry the largest queue deadline, so a slow blocker (a
+    // sanitizer build with the checker on) cannot expire id 2 first.
     ASSERT_TRUE(client.send(
-        std::string(R"({"op":"run_mix","id":2,"params":)"
-                    R"({"mix":"mix2_01"}})") +
+        std::string(R"({"op":"run_mix","id":2,"deadline_ms":600000,)"
+                    R"("params":{"mix":"mix2_01"}})") +
         "\n" +
-        R"({"op":"run_mix","id":3,"params":{"mix":"mix2_01"}})"));
+        R"({"op":"run_mix","id":3,"deadline_ms":600000,)"
+        R"("params":{"mix":"mix2_01"}})"));
     Json first, second;
     ASSERT_TRUE(client.recv(first));
     ASSERT_TRUE(client.recv(second));
@@ -283,9 +290,13 @@ TEST_F(ServeTest, ConcurrentClientsAllServed)
         t.join();
     EXPECT_EQ(ok.load(), kClients * kRequests);
 
-    const Json stats = TestClient(server->port())
-                           .call(R"({"op":"stats"})");
-    EXPECT_EQ(stats.at("result").at("dropped_responses").asUint(), 0u);
+    const Json metrics = TestClient(server->port())
+                             .call(R"({"op":"metrics"})");
+    EXPECT_EQ(metrics.at("result")
+                  .at("server")
+                  .at("dropped_responses")
+                  .asUint(),
+              0u);
 }
 
 TEST_F(ServeTest, ShutdownDrainsAdmittedWork)
@@ -391,12 +402,9 @@ TEST_F(ServeTest, SlowReaderIsShedWhileOthersAreServed)
     Json doc;
     while (stalled.recv(doc)) {
     }
-    const Json stats = healthy.call(R"({"op":"stats"})");
-    EXPECT_GE(stats.at("result").at("slow_clients").asUint(), 1u);
-
-    // The observability plane saw the same story: the shed counter
-    // ticked, and the outbound gauge's high-water mark records the
-    // backlog that crossed the 32 KiB cap before the kill.
+    // The shed counter ticked, and the outbound gauge's high-water
+    // mark records the backlog that crossed the 32 KiB cap before the
+    // kill.
     const Json metrics = healthy.call(R"({"op":"metrics"})");
     ASSERT_TRUE(metrics.at("ok").asBool()) << metrics.str(0);
     const Json &srv = metrics.at("result").at("server");
@@ -483,8 +491,10 @@ TEST_F(ServeTest, ShardedServerServesDistinctWindows)
     EXPECT_EQ(b2.at("result").at("weighted_speedup").str(0),
               b1.at("result").at("weighted_speedup").str(0));
 
-    const Json stats = client.call(R"({"op":"stats"})");
-    EXPECT_EQ(stats.at("result").at("serve_shards").asUint(), 2u);
+    const Json metrics = client.call(R"({"op":"metrics"})");
+    EXPECT_EQ(
+        metrics.at("result").at("server").at("serve_shards").asUint(),
+        2u);
 }
 
 TEST_F(ServeTest, EstimateModeAnswersFromTheModel)
@@ -529,8 +539,9 @@ TEST_F(ServeTest, EstimateModeAnswersFromTheModel)
     EXPECT_EQ(third.at("result").at("weighted_speedup").str(0),
               result.at("weighted_speedup").str(0));
 
-    const Json stats = client.call(R"({"op":"stats"})");
-    const Json &svc = stats.at("result").at("service");
+    const Json metrics = client.call(R"({"op":"metrics"})");
+    const Json &svc =
+        metrics.at("result").at("shards").at(0).at("service");
     EXPECT_EQ(svc.at("estimates").asUint(), 2u);
     EXPECT_EQ(svc.at("estimates_inline").asUint(), 1u);
 }
@@ -653,8 +664,8 @@ TEST_F(ServeTest, MetricsPrometheusFormat)
 TEST_F(ServeTest, TwoShardStatsCountProfilesOnce)
 {
     // profiles_built comes from the process-global ProfileStore, so
-    // the per-shard aggregation must keep one copy instead of summing
-    // the same store once per shard.
+    // metrics reports it once, in the process block, and in no shard
+    // row a reader might sum.
     model::ProfileStore::instance().clear();
     serve::ServerConfig cfg = baseConfig();
     cfg.shards = 2;
@@ -670,12 +681,11 @@ TEST_F(ServeTest, TwoShardStatsCountProfilesOnce)
         model::ProfileStore::instance().built();
     ASSERT_GT(built, 0u);
 
-    const Json stats = client.call(R"({"op":"stats"})");
-    EXPECT_EQ(stats.at("result")
-                  .at("service")
-                  .at("profiles_built")
-                  .asUint(),
-              built);
+    const Json metrics = client.call(R"({"op":"metrics"})");
+    const Json &m = metrics.at("result");
+    EXPECT_EQ(m.at("process").at("profiles_built").asUint(), built);
+    for (const Json &shard : m.at("shards").elements())
+        EXPECT_EQ(shard.at("service").find("profiles_built"), nullptr);
 }
 
 TEST_F(ServeTest, NewRunsRejectedWhileShuttingDown)

@@ -3,7 +3,7 @@
  * nucached: the persistent NUcache simulation server.  Listens on an
  * IPv4 TCP socket, speaks newline-delimited `nucache-rpc/v1` JSON
  * (see src/serve/protocol.hh), batches compatible run_mix requests
- * onto a shared RunEngine, and answers health/stats probes.
+ * onto a shared RunEngine, and answers health/metrics probes.
  *
  * Usage:
  *   nucached [--host=127.0.0.1] [--port=7411] [--jobs=N]
@@ -18,7 +18,7 @@
  * queue; requests hash to shards by measurement window.
  * --max-outbound-kib caps each connection's outbound buffer: a
  * client that stops reading past the cap is shed (slow_clients in
- * stats) instead of blocking the event loop.
+ * metrics) instead of blocking the event loop.
  *
  * --port=0 binds an ephemeral port; --port-file writes the bound
  * port to FILE once the server is listening (for scripts and CI).
@@ -137,11 +137,11 @@ main(int argc, char **argv)
         inform("nucached: wrote trace to ", trace_out);
     }
 
-    const Json stats = server.statsJson();
+    const Json counters = server.metricsJson().at("server");
     std::fprintf(stderr,
                  "nucached: drained and stopped (%s requests, "
                  "%s responses)\n",
-                 stats.at("requests").str(0).c_str(),
-                 stats.at("responses").str(0).c_str());
+                 counters.at("requests").str(0).c_str(),
+                 counters.at("responses").str(0).c_str());
     return 0;
 }
