@@ -29,6 +29,7 @@
 #include "bench_common.hh"
 #include "common/net.hh"
 #include "common/rng.hh"
+#include "common/simd.hh"
 #include "core/pc_selection.hh"
 #include "mem/cache.hh"
 #include "obs/metrics.hh"
@@ -213,6 +214,35 @@ selectionOpsPerSec(int n, std::uint64_t iterations)
 }
 
 /**
+ * Mean ns per victim-search kernel call over a pool of random stamp
+ * rows @p ways wide (the shape of an LRU recency row).  Both kernels
+ * go through a function pointer, as the dispatched one does in the
+ * LRU lanes, so the numbers compare like for like.
+ */
+double
+nsPerMinIndexCall(std::uint32_t (*kernel)(const std::uint64_t *,
+                                          std::uint32_t),
+                  std::uint32_t ways, std::uint64_t calls)
+{
+    constexpr std::size_t kRows = 1024;
+    Rng rng(77);
+    std::vector<std::uint64_t> rows(kRows * ways);
+    for (auto &v : rows)
+        v = rng.next();
+    std::uint64_t sink = 0;
+    const auto start = std::chrono::steady_clock::now();
+    for (std::uint64_t i = 0; i < calls; ++i)
+        sink += kernel(&rows[(i % kRows) * ways], ways);
+    const auto stop = std::chrono::steady_clock::now();
+    const double secs =
+        std::chrono::duration<double>(stop - start).count();
+    // Keep the kernel results observable so the loop is not elided.
+    if (sink == 0)
+        std::cerr << "";
+    return secs * 1e9 / static_cast<double>(calls);
+}
+
+/**
  * One closed-loop pipelined loopback trial against an in-process
  * nucached: @p conns connections blast @p per_conn copies of @p line
  * (a result-cache hit, answered inline on the event loop) and read
@@ -367,6 +397,36 @@ main(int argc, char **argv)
     }
     sel["cells"] = std::move(sel_cells);
     sel_table.print(std::cout);
+
+    // Victim-search kernel in isolation: the first-minimum scan every
+    // L1 miss and every LRU-LLC victim runs.  A kernel regression is
+    // invisible in the full-access cells above (it hides among the
+    // tag scan, fill and statistics), so it gets its own numbers.
+    Json &victim = report.section("victim_search", "ns_per_call");
+    Json victim_cells = Json::array();
+    const std::uint64_t victim_calls = args.has("quick") ? 2'000'000
+                                                         : 10'000'000;
+    std::cout << "\n# victim search (first-minimum index), ns/call\n";
+    TextTable victim_table;
+    victim_table.header({"ways", "dispatched", "scalar"});
+    for (const std::uint32_t ways : {8u, 16u, 32u}) {
+        const double fast =
+            nsPerMinIndexCall(&simd::minIndex64, ways, victim_calls);
+        const double scalar =
+            nsPerMinIndexCall(&simd::minIndex64Scalar, ways, victim_calls);
+        victim_table.row()
+            .cell(std::to_string(ways))
+            .cell(fast)
+            .cell(scalar);
+        Json c = Json::object();
+        c["ways"] = ways;
+        c["dispatched_ns"] = fast;
+        c["scalar_ns"] = scalar;
+        victim_cells.push(std::move(c));
+    }
+    victim["calls"] = victim_calls;
+    victim["cells"] = std::move(victim_cells);
+    victim_table.print(std::cout);
 
     // Serve-loopback A/B: prove the always-on server observability
     // plane (per-request tracing + histograms) costs nothing beyond

@@ -108,16 +108,47 @@ eqMask64Avx2(const std::uint64_t *row, std::uint32_t n,
     return eq;
 }
 
+/**
+ * @return a vector whose every lane holds the minimum lane of @p v.
+ * A butterfly of three min steps (swap the 256-bit halves, then the
+ * 128-bit pairs, then the 64-bit lanes of each pair) keeps the
+ * reduction in registers: spilling the lanes to a stack array and
+ * re-reading them one by one costs a fixed store-to-load round trip
+ * per call, several times the whole scan at 8-32 ways.
+ */
+__attribute__((target("avx512f"))) inline __m512i
+laneMin64Avx512(__m512i v)
+{
+    const __mmask8 all = static_cast<__mmask8>(0xff);
+    v = _mm512_mask_min_epu64(
+        v, all, v, _mm512_mask_shuffle_i64x2(v, all, v, v, 0x4e));
+    v = _mm512_mask_min_epu64(
+        v, all, v, _mm512_mask_shuffle_i64x2(v, all, v, v, 0xb1));
+    return _mm512_mask_min_epu64(
+        v, all, v,
+        _mm512_mask_shuffle_epi32(v, static_cast<__mmask16>(0xffff), v,
+                                  _MM_PERM_BADC));
+}
+
 __attribute__((target("avx512f"))) inline std::uint32_t
 minIndex64Avx512(const std::uint64_t *row, std::uint32_t n)
 {
-    // Pass 1: the minimum value (missing tail lanes read as all-ones,
-    // the identity of unsigned min).  Pass 2: its first index.  The
-    // explicit-merge masked intrinsics are deliberate: the unmasked
-    // forms route through _mm512_undefined_epi32, whose `__Y = __Y`
-    // idiom trips -Wmaybe-uninitialized under -O2 (GCC PR105593).
+    // Missing tail lanes read as all-ones, the identity of unsigned
+    // min.  The explicit-merge masked intrinsics are deliberate: the
+    // unmasked forms route through _mm512_undefined_epi32, whose
+    // `__Y = __Y` idiom trips -Wmaybe-uninitialized under -O2 (GCC
+    // PR105593).
     const __m512i ones = _mm512_set1_epi64(-1);
     const __mmask8 all = static_cast<__mmask8>(0xff);
+    if (n <= 8) {
+        // One vector (every L1 set): reduce and compare in registers.
+        const __mmask8 tail = static_cast<__mmask8>((1u << n) - 1u);
+        const __m512i v = _mm512_mask_loadu_epi64(ones, tail, row);
+        const __mmask8 eq =
+            _mm512_mask_cmpeq_epu64_mask(tail, v, laneMin64Avx512(v));
+        return static_cast<std::uint32_t>(__builtin_ctz(eq));
+    }
+    // Pass 1: the minimum value.  Pass 2: the first chunk holding it.
     __m512i acc = ones;
     std::uint32_t w = 0;
     for (; w + 8 <= n; w += 8) {
@@ -131,13 +162,19 @@ minIndex64Avx512(const std::uint64_t *row, std::uint32_t n)
         const __m512i v = _mm512_mask_loadu_epi64(ones, tail, row + w);
         acc = _mm512_mask_min_epu64(acc, all, acc, v);
     }
-    alignas(64) std::uint64_t lanes[8];
-    _mm512_store_si512(reinterpret_cast<void *>(lanes), acc);
-    std::uint64_t lowest = lanes[0];
-    for (int i = 1; i < 8; ++i)
-        lowest = lanes[i] < lowest ? lanes[i] : lowest;
-    const std::uint64_t at = eqMask64Avx512(row, n, lowest);
-    return static_cast<std::uint32_t>(__builtin_ctzll(at));
+    acc = laneMin64Avx512(acc);
+    for (w = 0; w + 8 <= n; w += 8) {
+        const __m512i v =
+            _mm512_loadu_si512(reinterpret_cast<const void *>(row + w));
+        const __mmask8 eq = _mm512_cmpeq_epu64_mask(v, acc);
+        if (eq != 0)
+            return w + static_cast<std::uint32_t>(__builtin_ctz(eq));
+    }
+    // The minimum sits in the partial tail chunk.
+    const __mmask8 tail = static_cast<__mmask8>((1u << (n - w)) - 1u);
+    const __m512i v = _mm512_mask_loadu_epi64(ones, tail, row + w);
+    const __mmask8 eq = _mm512_mask_cmpeq_epu64_mask(tail, v, acc);
+    return w + static_cast<std::uint32_t>(__builtin_ctz(eq));
 }
 
 using EqMask64Fn = std::uint64_t (*)(const std::uint64_t *,

@@ -1,5 +1,7 @@
 #include "obs/telemetry.hh"
 
+#include <iterator>
+
 #include "common/logging.hh"
 
 namespace nucache::obs
@@ -82,7 +84,7 @@ void
 TelemetryHub::publish(TelemetrySeries series)
 {
     std::lock_guard<std::mutex> lock(mtx);
-    held[series.label] = std::move(series);
+    held[{series.label, series.variant}] = std::move(series);
 }
 
 std::size_t
@@ -99,8 +101,17 @@ TelemetryHub::drainJson()
     Json doc = Json::object();
     doc["schema"] = "nucache-telemetry/v1";
     Json series = Json::array();
-    for (const auto &kv : held)
-        series.push(kv.second.toJson());
+    for (auto it = held.begin(); it != held.end(); ++it) {
+        const std::string &label = it->first.first;
+        const bool shared =
+            (it != held.begin() && std::prev(it)->first.first == label) ||
+            (std::next(it) != held.end() &&
+             std::next(it)->first.first == label);
+        Json s = it->second.toJson();
+        if (shared)
+            s["label"] = label + " [" + it->first.second + "]";
+        series.push(std::move(s));
+    }
     doc["series"] = std::move(series);
     held.clear();
     return doc;

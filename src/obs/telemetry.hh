@@ -14,8 +14,8 @@
  * Finished series are published to the process-wide TelemetryHub,
  * which the bench layer drains into a `nucache-telemetry/v1` JSON
  * document alongside the regular bench JSON.  The hub keys series by
- * label and emits them in sorted order, so the file is deterministic
- * no matter which worker thread finished first.
+ * label and hierarchy variant and emits them in sorted order, so the
+ * file is deterministic no matter which worker thread finished first.
  */
 
 #ifndef NUCACHE_OBS_TELEMETRY_HH
@@ -39,6 +39,13 @@ struct TelemetrySeries
 {
     /** Identifies the run, e.g. "mix03/nucache". */
     std::string label;
+    /**
+     * Names the hierarchy the run used (see RunEngine), so runs that
+     * share a label but not a hierarchy, such as a mix with and
+     * without the prefetcher, are kept apart.  Empty outside the
+     * engine.
+     */
+    std::string variant;
     /** Sampling stride in LLC accesses. */
     std::uint64_t interval = 0;
     /** Column names, in registration order. */
@@ -112,15 +119,19 @@ class Sampler
 
 /**
  * Process-wide collection point for finished series (one per System
- * run with telemetry on).  Thread-safe; keyed by label so the drain
- * order — and therefore the dumped JSON — is deterministic.
+ * run with telemetry on).  Thread-safe; keyed by (label, variant) so
+ * the drain order — and therefore the dumped JSON — is deterministic.
  */
 class TelemetryHub
 {
   public:
     static TelemetryHub &instance();
 
-    /** Publish a finished series (last publisher of a label wins). */
+    /**
+     * Publish a finished series.  A second series with the same label
+     * and variant replaces the first (the engine runs a given label on
+     * a given hierarchy once, so the two are identical).
+     */
     void publish(TelemetrySeries series);
 
     /** @return number of series currently held. */
@@ -128,7 +139,9 @@ class TelemetryHub
 
     /**
      * @return the full `nucache-telemetry/v1` document and clear the
-     * hub.  Series appear sorted by label.
+     * hub.  Series appear sorted by label, then variant.  A label
+     * held under one variant is emitted as is; a label held under
+     * several is emitted as "<label> [<variant>]" for each.
      */
     Json drainJson();
 
@@ -137,7 +150,7 @@ class TelemetryHub
 
   private:
     mutable std::mutex mtx;
-    std::map<std::string, TelemetrySeries> held;
+    std::map<std::pair<std::string, std::string>, TelemetrySeries> held;
 };
 
 } // namespace nucache::obs

@@ -121,20 +121,28 @@ PippPolicy::checkInvariants(const SetView &set, std::string &why) const
 }
 
 std::uint32_t
+PippPolicy::firstWayRanked(const std::uint8_t *row, std::uint32_t n,
+                           std::uint8_t r, std::uint32_t none)
+{
+    std::uint32_t first = noRank;
+    for (std::uint32_t w = 0; w < n; ++w)
+        first = std::min(first, row[w] == r ? w : noRank);
+    return first == noRank ? none : first;
+}
+
+std::uint32_t
 PippPolicy::victimWay(const SetView &set, const AccessInfo &info)
 {
     (void)info;
-    // The victim is the lowest-ranked valid line.
-    std::uint32_t victim = 0;
-    std::uint32_t best = noRank;
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        const std::uint8_t r = rank[slot(set.setIndex(), w)];
-        if (set.line(w).valid && r < best) {
-            best = r;
-            victim = w;
-        }
-    }
-    return victim;
+    // The victim is the lowest-ranked valid line.  Invalid lines carry
+    // noRank (checkInvariants), above every valid rank, so the row's
+    // first minimum is the victim without a validity test per way.
+    const std::uint8_t *row = &rank[slot(set.setIndex(), 0)];
+    const std::uint32_t n = set.ways();
+    std::uint8_t best = noRank;
+    for (std::uint32_t w = 0; w < n; ++w)
+        best = std::min(best, row[w]);
+    return firstWayRanked(row, n, best, 0);
 }
 
 void
@@ -144,16 +152,19 @@ PippPolicy::onHit(const SetView &set, std::uint32_t way,
     observe(set, info);
     if (!rng.chance(cfg.promoteProb))
         return;
-    // Promote by one: swap ranks with the line directly above.
-    const std::uint8_t mine = rank[slot(set.setIndex(), way)];
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        if (w != way && rank[slot(set.setIndex(), w)] == mine + 1) {
-            rank[slot(set.setIndex(), w)] = mine;
-            rank[slot(set.setIndex(), way)] =
-                static_cast<std::uint8_t>(mine + 1);
-            return;
-        }
-    }
+    // Promote by one: swap ranks with the line directly above (none
+    // when this line already tops the set or is unranked).
+    std::uint8_t *row = &rank[slot(set.setIndex(), 0)];
+    const std::uint8_t mine = row[way];
+    if (mine == noRank)
+        return;
+    const std::uint8_t above = static_cast<std::uint8_t>(mine + 1);
+    const std::uint32_t w =
+        firstWayRanked(row, set.ways(), above, set.ways());
+    if (w == set.ways())
+        return;
+    row[w] = mine;
+    row[way] = above;
 }
 
 void
@@ -168,29 +179,31 @@ PippPolicy::onEvict(const SetView &set, std::uint32_t way,
 {
     (void)victim;
     (void)info;
-    // Close the rank gap left by the departing line.
-    const std::uint8_t gone = rank[slot(set.setIndex(), way)];
-    rank[slot(set.setIndex(), way)] = noRank;
-    if (gone == noRank)
-        return;
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        std::uint8_t &r = rank[slot(set.setIndex(), w)];
-        if (r != noRank && r > gone)
-            --r;
-    }
+    // Close the rank gap left by the departing line.  The way count
+    // is read once up front: the byte stores below may alias the
+    // view, and a bound reloaded per way keeps the loop scalar.
+    std::uint8_t *row = &rank[slot(set.setIndex(), 0)];
+    const std::uint32_t n = set.ways();
+    const std::uint8_t gone = row[way];
+    row[way] = noRank;
+    for (std::uint32_t w = 0; w < n; ++w)
+        row[w] = static_cast<std::uint8_t>(
+            row[w] - ((row[w] != noRank) & (row[w] > gone)));
 }
 
 void
 PippPolicy::onFill(const SetView &set, std::uint32_t way,
                    const AccessInfo &info)
 {
-    // Count currently ranked lines (excluding the way being filled,
-    // whose stale rank was cleared by onEvict or never set).
+    // Unrank the way being filled, so the count and the shift below
+    // skip it (onEvict has normally cleared its rank already), then
+    // count the ranked lines.
+    std::uint8_t *row = &rank[slot(set.setIndex(), 0)];
+    const std::uint32_t n = set.ways();
+    row[way] = noRank;
     std::uint32_t ranked = 0;
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        if (w != way && rank[slot(set.setIndex(), w)] != noRank)
-            ++ranked;
-    }
+    for (std::uint32_t w = 0; w < n; ++w)
+        ranked += row[w] != noRank;
 
     // Insert at this core's priority: pi - 1 positions above LRU,
     // clamped to the currently occupied range.
@@ -199,12 +212,10 @@ PippPolicy::onFill(const SetView &set, std::uint32_t way,
         std::min<std::uint32_t>(pi == 0 ? 0 : pi - 1, ranked));
 
     // Shift up everyone at or above the insertion position.
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        std::uint8_t &r = rank[slot(set.setIndex(), w)];
-        if (w != way && r != noRank && r >= pos)
-            ++r;
-    }
-    rank[slot(set.setIndex(), way)] = pos;
+    for (std::uint32_t w = 0; w < n; ++w)
+        row[w] = static_cast<std::uint8_t>(
+            row[w] + ((row[w] != noRank) & (row[w] >= pos)));
+    row[way] = pos;
 }
 
 } // namespace nucache

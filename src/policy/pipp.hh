@@ -90,6 +90,15 @@ class PippPolicy : public ReplacementPolicy
         return static_cast<std::size_t>(set) * context.numWays + way;
     }
 
+    /**
+     * @return the first way of @p row (n ways) ranked @p r, or
+     * @p none.  A min over per-way candidates rather than an early
+     * exit, so the loop has no branch and vectorizes.
+     */
+    static std::uint32_t firstWayRanked(const std::uint8_t *row,
+                                        std::uint32_t n, std::uint8_t r,
+                                        std::uint32_t none);
+
     /** Feed UMONs and run the epoch allocator. */
     void observe(const SetView &set, const AccessInfo &info);
 

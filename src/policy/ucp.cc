@@ -87,6 +87,7 @@ UcpPolicy::init(const PolicyContext &ctx)
               " ways, ", ctx.numCores, " cores)");
     lastTouch.assign(
         static_cast<std::size_t>(ctx.numSets) * ctx.numWays, 0);
+    occupancy.assign(ctx.numCores, 0);
     accessCount = 0;
 }
 
@@ -163,21 +164,21 @@ UcpPolicy::checkInvariants(const SetView &set, std::string &why) const
 std::uint32_t
 UcpPolicy::victimWay(const SetView &set, const AccessInfo &info)
 {
-    // Count the requester's occupancy in this set.
-    std::vector<std::uint32_t> occ(context.numCores, 0);
+    // Count every core's occupancy in this set.
+    std::fill(occupancy.begin(), occupancy.end(), 0);
     for (std::uint32_t w = 0; w < set.ways(); ++w) {
         const auto &line = set.line(w);
         if (line.valid && line.coreId < context.numCores)
-            ++occ[line.coreId];
+            ++occupancy[line.coreId];
     }
 
     const CoreId me = info.coreId;
-    if (occ[me] < quota[me]) {
+    if (occupancy[me] < quota[me]) {
         // Someone must be over quota; take their LRU line.
         const std::uint32_t v = lruAmong(set, [&](std::uint32_t w) {
             const auto &line = set.line(w);
             return line.valid && line.coreId < context.numCores &&
-                   occ[line.coreId] > quota[line.coreId];
+                   occupancy[line.coreId] > quota[line.coreId];
         });
         if (v != set.ways())
             return v;

@@ -110,6 +110,8 @@ class UcpPolicy : public ReplacementPolicy
     std::vector<UtilityMonitor> monitors;
     std::vector<std::uint32_t> quota;
     std::vector<Tick> lastTouch;
+    /** victimWay's per-core line count, sized once in init. */
+    std::vector<std::uint32_t> occupancy;
     std::uint64_t accessCount = 0;
 };
 

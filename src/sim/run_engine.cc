@@ -13,6 +13,32 @@
 namespace nucache
 {
 
+namespace
+{
+
+/**
+ * @return a key naming the hierarchy fields that change a run-alone
+ * baseline.  One engine may span hierarchy variants (L2, inclusion,
+ * prefetch, LLC geometry, index defense), so the key separates both
+ * the memoized baselines and the telemetry series of those variants.
+ */
+std::string
+hierarchyKey(const HierarchyConfig &hier)
+{
+    std::ostringstream key;
+    key << "llc=" << hier.llc.sizeBytes << "x" << hier.llc.ways
+        << ",l2=" << hier.enableL2 << ":" << hier.l2.sizeBytes
+        << ",inclusive=" << hier.inclusive
+        << ",prefetch=" << hier.prefetch.enabled;
+    // Index scrambling changes the alone run's hit rates, so defended
+    // and plain hierarchies must not share a baseline.
+    if (!hier.llc.defense.empty())
+        key << ",defense=" << hier.llc.defense;
+    return key.str();
+}
+
+} // anonymous namespace
+
 RunEngine::RunEngine(std::uint64_t records_per_core, unsigned jobs,
                      bool check_invariants)
     : records(records_per_core), checkFlag(check_invariants), pool(jobs)
@@ -26,30 +52,24 @@ RunEngine::aloneIpc(const std::string &workload,
                     const HierarchyConfig &hier)
 {
     // The run-alone config inherits everything but the core count, so
-    // the key must cover every field that changes the alone run — one
-    // engine may span hierarchy variants (L2, inclusion, prefetch).
-    std::ostringstream key;
-    key << workload << "/" << hier.llc.sizeBytes << "/" << hier.llc.ways
-        << "/" << records << "/" << hier.enableL2 << hier.inclusive
-        << hier.prefetch.enabled << "/" << hier.l2.sizeBytes;
-    // Index scrambling changes the alone run's hit rates, so defended
-    // and plain hierarchies must not share a baseline.
-    if (!hier.llc.defense.empty())
-        key << "/" << hier.llc.defense;
+    // the key must cover every field that changes the alone run.
+    const std::string variant = hierarchyKey(hier);
+    const std::string key =
+        workload + "/" + std::to_string(records) + "/" + variant;
 
     std::promise<double> promise;
     std::shared_future<double> future;
     bool owner = false;
     {
         std::lock_guard<std::mutex> lock(aloneMtx);
-        const auto it = aloneCache.find(key.str());
+        const auto it = aloneCache.find(key);
         if (it != aloneCache.end()) {
             future = it->second;
         } else {
             // First requester becomes the owner; everyone else who
             // races in blocks on the shared future below.
             future = promise.get_future().share();
-            aloneCache.emplace(key.str(), future);
+            aloneCache.emplace(key, future);
             owner = true;
         }
     }
@@ -67,7 +87,7 @@ RunEngine::aloneIpc(const std::string &workload,
     traces.push_back(TraceArena::instance().open(workload));
     System sys(alone, makePolicy("lru"), std::move(traces), records,
                checkFlag);
-    sys.setTelemetryLabel("alone/" + workload);
+    sys.setTelemetryLabel("alone/" + workload, variant);
     const SystemResult res = sys.run();
     const double ipc = res.cores.at(0).ipc;
     aloneRuns.fetch_add(1, std::memory_order_relaxed);
@@ -97,7 +117,8 @@ RunEngine::runMix(const WorkloadMix &mix, const std::string &policy_spec,
 
     System sys(hier, makePolicy(policy_spec), std::move(traces), records,
                checkFlag);
-    sys.setTelemetryLabel(mix.name + "/" + policy_spec);
+    sys.setTelemetryLabel(mix.name + "/" + policy_spec,
+                          hierarchyKey(hier));
 
     MixResult out;
     out.mixName = mix.name;
@@ -155,7 +176,8 @@ RunEngine::runSingle(const std::string &workload,
     traces.push_back(TraceArena::instance().open(workload));
     System sys(single, makePolicy(policy_spec), std::move(traces),
                records, checkFlag);
-    sys.setTelemetryLabel("single/" + workload + "/" + policy_spec);
+    sys.setTelemetryLabel("single/" + workload + "/" + policy_spec,
+                          hierarchyKey(hier));
     return sys.run();
 }
 

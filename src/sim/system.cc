@@ -42,9 +42,10 @@ System::System(const HierarchyConfig &hier_config,
 }
 
 void
-System::setTelemetryLabel(std::string label)
+System::setTelemetryLabel(std::string label, std::string variant)
 {
     telemetryTag = std::move(label);
+    telemetryVariant = std::move(variant);
 }
 
 void
@@ -220,6 +221,7 @@ System::run()
             }
         }
         obs::TelemetrySeries series = smp->series(label);
+        series.variant = telemetryVariant;
         series.finalStats = statsJson();
         obs::TelemetryHub::instance().publish(std::move(series));
     }

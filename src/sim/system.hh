@@ -80,10 +80,11 @@ class System
     /**
      * Label the telemetry series this run publishes (e.g.\
      * "mix03/nucache").  Defaults to "<policy>/<w0>+<w1>+..." when
-     * unset.  No effect unless telemetry is enabled (see
-     * obs/obs_mode.hh).
+     * unset.  @p variant names the hierarchy, so runs sharing a label
+     * on different hierarchies stay apart (obs::TelemetrySeries).  No
+     * effect unless telemetry is enabled (see obs/obs_mode.hh).
      */
-    void setTelemetryLabel(std::string label);
+    void setTelemetryLabel(std::string label, std::string variant = {});
 
     /** @return the hierarchy (introspection before/after run()). */
     MemoryHierarchy &hierarchy() { return *hier; }
@@ -103,6 +104,7 @@ class System
     /** Present iff telemetry was enabled at construction. */
     std::unique_ptr<obs::Sampler> sampler;
     std::string telemetryTag;
+    std::string telemetryVariant;
 };
 
 } // namespace nucache

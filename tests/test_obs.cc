@@ -118,6 +118,47 @@ TEST(Telemetry, DeterministicAcrossPoolWidths)
     EXPECT_EQ(serial, telemetryGridDump(8));
 }
 
+/**
+ * Every obsMixes() mix under LRU with and without the stride
+ * prefetcher, as one parallel batch on one engine (the shape of
+ * bench_ext_prefetch).  @return the drained JSON text.
+ */
+std::string
+twoHierarchyDump(unsigned jobs)
+{
+    TelemetryScope telemetry(500);
+    RunEngine engine(2000, jobs, false);
+    const HierarchyConfig base = defaultHierarchy(2);
+    HierarchyConfig with_pf = base;
+    with_pf.prefetch.enabled = true;
+    const auto &mixes = obsMixes();
+    engine.parallelFor(2 * mixes.size(), [&](std::size_t i) {
+        engine.runMix(mixes[i / 2], "lru", i % 2 == 0 ? base : with_pf);
+    });
+    return obs::TelemetryHub::instance().drainJson().str();
+}
+
+TEST(Telemetry, TwoHierarchyGridIsDeterministic)
+{
+    // Runs that share a label ("<mix>/lru", "alone/<workload>") on
+    // different hierarchies must both survive, under labels naming the
+    // hierarchy, whichever of them finishes last at --jobs > 1.
+    const std::string first = twoHierarchyDump(2);
+    EXPECT_EQ(first, twoHierarchyDump(2));
+
+    const Json doc = Json::parseOrDie(first, "telemetry");
+    // (2 mixes + 2 run-alone baselines) x 2 hierarchies.
+    ASSERT_EQ(doc.at("series").size(), 8u);
+    std::size_t prefetched = 0;
+    for (const Json &s : doc.at("series").elements()) {
+        const std::string label = s.at("label").asString();
+        EXPECT_NE(label.find(" [llc="), std::string::npos) << label;
+        if (label.find("prefetch=1") != std::string::npos)
+            ++prefetched;
+    }
+    EXPECT_EQ(prefetched, 4u);
+}
+
 TEST(Telemetry, GridPublishesEverySystemRun)
 {
     TelemetryScope telemetry(500);
