@@ -455,24 +455,6 @@ requestHierarchy(const Request &req)
 }
 
 std::string
-batchKey(const Request &req, std::uint64_t default_records)
-{
-    if (req.op != Op::RunMix || req.telemetry != 0)
-        return "";
-    // Estimates never touch an engine, so they gain nothing from
-    // sharing a batch with exact runs; still keyed (separately) so
-    // bursts of estimate traffic drain as one dispatch.
-    if (req.mode == Mode::Estimate) {
-        const std::uint64_t records =
-            req.records != 0 ? req.records : default_records;
-        return "estimate|records=" + std::to_string(records);
-    }
-    const std::uint64_t records =
-        req.records != 0 ? req.records : default_records;
-    return "run_mix|records=" + std::to_string(records);
-}
-
-std::string
 cacheKey(const Request &req, std::uint64_t default_records)
 {
     if (req.op != Op::RunMix || req.telemetry != 0 || req.noCache)

@@ -189,14 +189,6 @@ bool parseRequest(const std::string &line, Request &out,
 HierarchyConfig requestHierarchy(const Request &req);
 
 /**
- * @return the admission-batching compatibility key of @p req: two
- * requests with equal keys may be dispatched as one engine batch
- * (same measurement window and hierarchy, both telemetry-free).
- * Empty when @p req must run exclusively (telemetry attachment).
- */
-std::string batchKey(const Request &req, std::uint64_t default_records);
-
-/**
  * @return the result-cache key of @p req — a canonical rendering of
  * every simulation-relevant parameter.  Deterministic simulation
  * makes caching sound: equal keys imply byte-equal results.  Empty

@@ -51,7 +51,7 @@ fastHitLine(const Request &req, const std::string &payload)
     return line;
 }
 
-/** @return the latency-series class of a dispatcher-path response:
+/** @return the latency-series class of a worker-path response:
  *  errors, then the answer source (cache / model / simulator). */
 RequestClass
 classifyResponse(const Request &req, const Json &response)
@@ -89,8 +89,8 @@ Server::Server(ServerConfig config) : cfg(std::move(config))
 {
     if (cfg.queueDepth == 0)
         cfg.queueDepth = 1;
-    if (cfg.batchMax == 0)
-        cfg.batchMax = 1;
+    if (cfg.service.jobs == 0)
+        cfg.service.jobs = 1;
     if (cfg.shards == 0)
         cfg.shards = 1;
     if (cfg.maxOutboundBytes == 0)
@@ -136,8 +136,9 @@ Server::start(std::string &err)
     started = Clock::now();
     loopThread = std::thread(&Server::eventLoop, this);
     for (auto &shard : shards) {
-        shard->thread =
-            std::thread(&Server::dispatchLoop, this, std::ref(*shard));
+        for (unsigned w = 0; w < cfg.service.jobs; ++w)
+            shard->workers.emplace_back(&Server::workerLoop, this,
+                                        std::ref(*shard));
     }
     return true;
 }
@@ -171,8 +172,9 @@ Server::join()
     if (loopThread.joinable())
         loopThread.join();
     for (auto &shard : shards) {
-        if (shard->thread.joinable())
-            shard->thread.join();
+        for (std::thread &worker : shard->workers)
+            if (worker.joinable())
+                worker.join();
     }
     threadsJoined = true;
 }
@@ -511,14 +513,14 @@ Server::handleLine(std::uint64_t conn_id, Connection &conn,
 
     // Warm fast path: a result-cache hit is answered inline by this
     // thread — deterministic simulation makes the cached bytes
-    // authoritative, and skipping the queue → dispatcher → wake round
+    // authoritative, and skipping the queue → worker → wake round
     // trip is what lets pipelined warm traffic scale past the
-    // dispatcher's handoff rate.
+    // workers' handoff rate.
     // Estimate-mode requests take the same inline path one step
     // further: with warm profiles the analytical model itself is
     // cheap enough to evaluate right here, so the first estimate for
     // a (mix, policy, geometry) is sub-millisecond too — only a cold
-    // workload profile falls through to the dispatcher.
+    // workload profile falls through to a worker.
     if (!stream) {
         std::string payload;
         const bool hit =
@@ -557,9 +559,9 @@ Server::handleLine(std::uint64_t conn_id, Connection &conn,
     pending.req = std::move(req);
 
     // The stopping check lives inside the shard's critical section:
-    // the dispatcher only declares itself drained under this mutex
-    // with the flag set and the queue empty, so a request admitted
-    // here can never slip behind a drained dispatcher and hang
+    // a worker only declares the shard drained under this mutex with
+    // the flag set, the queue empty and nothing running, so a request
+    // admitted here can never slip behind a drained shard and hang
     // shutdown.
     bool admitted = false;
     bool draining = false;
@@ -610,84 +612,79 @@ Server::handleLine(std::uint64_t conn_id, Connection &conn,
 }
 
 void
-Server::dispatchLoop(Shard &shard)
+Server::workerLoop(Shard &shard)
 {
+    // A telemetry run must start with nothing else running on the
+    // shard, and nothing else may start until it ends.  Popping only
+    // from the head keeps admission order and lets a waiting telemetry
+    // run hold back the requests behind it, so a steady stream of
+    // ordinary runs cannot starve it.
+    auto ready = [&] {
+        if (shard.queue.empty())
+            return stopping.load(std::memory_order_acquire);
+        if (shard.exclusive)
+            return false;
+        return shard.running == 0 ||
+               shard.queue.front().req.telemetry == 0;
+    };
     while (true) {
-        std::vector<Pending> batch;
+        Pending p;
         {
             std::unique_lock<std::mutex> lock(shard.mtx);
-            shard.cv.wait(lock, [&] {
-                return !shard.queue.empty() ||
-                       stopping.load(std::memory_order_acquire);
-            });
+            shard.cv.wait(lock, ready);
             if (shard.queue.empty()) {
-                // Shutdown with nothing left: this shard is drained.
-                shard.drained.store(true, std::memory_order_release);
-                wake.notify();
+                // Shutdown with nothing queued; the last worker out
+                // declares the shard drained.
+                if (shard.running == 0) {
+                    shard.drained.store(true, std::memory_order_release);
+                    wake.notify();
+                }
                 return;
             }
-            batch.push_back(std::move(shard.queue.front()));
+            p = std::move(shard.queue.front());
             shard.queue.pop_front();
-            // Group immediately-compatible admitted requests into
-            // one engine batch (same measurement window, no
-            // telemetry): they run as parallel jobs on one engine
-            // and share its arena cursors and run-alone cache.
-            const std::string key = batchKey(
-                batch.front().req, shard.service.defaultRecords());
-            if (!key.empty()) {
-                for (auto it = shard.queue.begin();
-                     it != shard.queue.end() &&
-                     batch.size() < cfg.batchMax;) {
-                    if (batchKey(it->req,
-                                 shard.service.defaultRecords()) ==
-                        key) {
-                        batch.push_back(std::move(*it));
-                        it = shard.queue.erase(it);
-                    } else {
-                        ++it;
-                    }
-                }
-            }
+            ++shard.running;
+            shard.exclusive = p.req.telemetry != 0;
         }
-
-        shard.metrics.dispatched.fetch_add(
-            batch.size(), std::memory_order_relaxed);
-        shard.metrics.lastBatch.store(batch.size(),
-                                      std::memory_order_relaxed);
+        shard.metrics.dispatched.fetch_add(1, std::memory_order_relaxed);
 
         // Queue deadlines are enforced here, at dispatch: a request
         // that already waited past its deadline gets an immediate
         // deadline_exceeded instead of burning simulation time.
-        std::vector<Request> reqs;
-        std::vector<Pending> live;
         const Clock::time_point now = Clock::now();
-        for (Pending &p : batch) {
-            if (p.trace.live)
-                p.trace.dispatched = now;
-            const double waited = elapsedMs(p.enqueued, now);
-            if (waited > static_cast<double>(p.deadlineMs)) {
-                ++deadlineExpired;
-                finishResponse(
-                    p, errorResponse(p.req, error::kDeadlineExceeded,
-                                     "queued " + std::to_string(waited) +
-                                         " ms, past the " +
-                                         std::to_string(p.deadlineMs) +
-                                         " ms deadline"));
-                continue;
-            }
-            reqs.push_back(std::move(p.req));
-            live.push_back(std::move(p));
+        if (p.trace.live)
+            p.trace.dispatched = now;
+        const double waited = elapsedMs(p.enqueued, now);
+        if (waited > static_cast<double>(p.deadlineMs)) {
+            ++deadlineExpired;
+            finishResponse(
+                p, errorResponse(p.req, error::kDeadlineExceeded,
+                                 "queued " + std::to_string(waited) +
+                                     " ms, past the " +
+                                     std::to_string(p.deadlineMs) +
+                                     " ms deadline"));
+        } else {
+            shard.service.executeBatch(
+                {p.req},
+                [&](std::size_t, Json response) {
+                    finishResponse(p, response);
+                },
+                [&](std::size_t, Json frame) {
+                    queueOobFrame(p.conn, frame);
+                });
         }
-        if (reqs.empty())
-            continue;
-        shard.service.executeBatch(
-            reqs,
-            [&](std::size_t i, Json response) {
-                finishResponse(live[i], response);
-            },
-            [&](std::size_t i, Json frame) {
-                queueOobFrame(live[i].conn, frame);
-            });
+
+        bool wakeAll = false;
+        {
+            std::lock_guard<std::mutex> lock(shard.mtx);
+            --shard.running;
+            wakeAll = shard.exclusive || shard.running == 0;
+            shard.exclusive = false;
+        }
+        // Only the end of a telemetry run or an idle shard can make a
+        // held-back head runnable.
+        if (wakeAll)
+            shard.cv.notify_all();
     }
 }
 
@@ -983,8 +980,6 @@ Server::metricsJson() const
         }
         row["dispatched"] =
             shard.metrics.dispatched.load(std::memory_order_relaxed);
-        row["last_batch"] =
-            shard.metrics.lastBatch.load(std::memory_order_relaxed);
         row["queue_wait"] =
             shard.metrics.queueWaitUs.snapshot().json();
         row["execute"] = shard.metrics.executeUs.snapshot().json();

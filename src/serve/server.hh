@@ -5,8 +5,7 @@
  * with explicit admission control in front of the simulation
  * service.
  *
- * Threading model — an event loop, per-shard dispatchers, and the
- * engine workers behind them:
+ * Threading model — an event loop and per-shard workers:
  *  - the event-loop thread owns every socket and a level-triggered
  *    epoll set: it accepts connections, splits the byte stream into
  *    request lines, answers the cheap control ops (health, metrics,
@@ -16,15 +15,18 @@
  *    fds are nonblocking and every response is queued, so one
  *    stalled client cannot freeze the loop (the head-of-line block
  *    the old single poll thread had);
- *  - each engine shard (`--serve-shards`) runs one dispatcher
- *    thread: it pops admitted requests from its own queue, groups
- *    consecutive compatible ones (equal batchKey(), up to batchMax)
- *    into one engine batch, enforces queue deadlines, and hands the
- *    batch to its own SimulationService (own memoized RunEngines,
- *    own result cache).  Requests hash to shards by measurement
- *    window, so a window's warm engine is always reused;
- *  - the services' engine workers run the simulations and emit
- *    responses back through the connection's response slots.
+ *  - each engine shard (`--serve-shards`) runs `service.jobs`
+ *    worker threads on one admission queue, the only queue: an
+ *    idle worker pops the next request, enforces its queue
+ *    deadline, runs it to completion on its own thread through the
+ *    shard's SimulationService (own memoized RunEngines, own result
+ *    cache), and emits the response into the connection's response
+ *    slot.  No request waits behind another's simulation while a
+ *    worker is free.  A telemetry run is exclusive: once it reaches
+ *    the head of the queue, the shard's workers pop nothing else
+ *    until it has started alone and finished.  Requests hash to
+ *    shards by measurement window, so a window's warm engine is
+ *    always reused.
  *
  * Pipelining: clients may send many request lines before reading.
  * Each request is assigned a per-connection sequence number at parse
@@ -90,10 +92,10 @@ struct ServerConfig
     /** TCP port; 0 binds an ephemeral port (tests), see port(). */
     std::uint16_t port = 7411;
     /**
-     * Engine shards.  Each shard owns one dispatcher thread, one
-     * SimulationService (memoized RunEngines, result cache) and one
-     * admission queue of `queueDepth`; requests hash to shards by
-     * measurement window (see shardOf()).
+     * Engine shards.  Each shard owns `service.jobs` worker threads,
+     * one SimulationService (memoized RunEngines, result cache) and
+     * one admission queue of `queueDepth`; requests hash to shards
+     * by measurement window (see shardOf()).
      */
     std::size_t shards = 1;
     /** Admission-queue depth per shard; a full queue answers
@@ -101,8 +103,6 @@ struct ServerConfig
     std::size_t queueDepth = 512;
     /** Queue deadline for requests that do not set "deadline_ms". */
     std::uint64_t defaultDeadlineMs = 30'000;
-    /** Most requests dispatched as one engine batch. */
-    std::size_t batchMax = 8;
     /** Connection cap; extra sockets get `overload` and a close. */
     std::size_t maxConnections = 1024;
     /** Per-line framing cap; longer lines get `too_large`. */
@@ -115,8 +115,8 @@ struct ServerConfig
     /** SO_SNDBUF for accepted sockets; 0 = kernel default.  Tests
      *  shrink it to make slow-client shedding deterministic. */
     int sockSndBufBytes = 0;
-    /** Simulation-side configuration (jobs, caches, windows),
-     *  applied to every shard's service. */
+    /** Simulation-side configuration (workers per shard, caches,
+     *  windows), applied to every shard. */
     ServiceConfig service;
 };
 
@@ -134,7 +134,7 @@ class Server
 
     /**
      * Bind the listener, create the epoll set, and start the event
-     * loop + one dispatcher thread per shard.
+     * loop + `service.jobs` worker threads per shard.
      * @param err filled with the reason on failure.
      * @return whether the server is now serving.
      */
@@ -232,7 +232,7 @@ class Server
         bool wantWrite = false;
     };
 
-    /** One admitted run request waiting for a shard dispatcher. */
+    /** One admitted run request waiting for a shard worker. */
     struct Pending
     {
         Request req;
@@ -242,19 +242,24 @@ class Server
         bool stream = false;
         Clock::time_point enqueued;
         std::uint64_t deadlineMs = 0;
-        /** Phase stamps, carried through dispatch to the flush. */
+        /** Phase stamps, carried through execution to the flush. */
         ReqTrace trace;
     };
 
-    /** One engine shard: dispatcher + service + admission queue. */
+    /** One engine shard: workers + service + admission queue. */
     struct Shard
     {
         explicit Shard(const ServiceConfig &cfg) : service(cfg) {}
         SimulationService service;
-        std::thread thread;
+        std::vector<std::thread> workers;
         std::mutex mtx;
         std::condition_variable cv;
         std::deque<Pending> queue;
+        /** Requests popped and not yet finished (guarded by mtx). */
+        std::size_t running = 0;
+        /** A telemetry run is executing (guarded by mtx). */
+        bool exclusive = false;
+        /** Stopping, the queue empty and no request running. */
         std::atomic<bool> drained{false};
         /** Queue depth high-water, dispatch counters, per-shard
          *  phase histograms. */
@@ -262,7 +267,7 @@ class Server
     };
 
     void eventLoop();
-    void dispatchLoop(Shard &shard);
+    void workerLoop(Shard &shard);
 
     /** Accept until EAGAIN, enforcing the connection cap. */
     void acceptPending();
@@ -291,7 +296,7 @@ class Server
     /** Append an out-of-band (streaming) @p frame to @p conn_id. */
     void queueOobFrame(std::uint64_t conn_id, const Json &frame);
 
-    /** Deliver a dispatch-side final response for @p p. */
+    /** Deliver a worker-side final response for @p p. */
     void finishResponse(const Pending &p, const Json &response);
 
     /** Move in-order completed slots into `out` (connsMtx held). */
@@ -352,7 +357,7 @@ class Server
     static constexpr std::uint64_t kListenTag = 1;
     static constexpr std::uint64_t kFirstConnId = 2;
 
-    /** Counters (atomics: bumped on loop/dispatch/worker threads). */
+    /** Counters (atomics: bumped on loop and worker threads). */
     std::atomic<std::uint64_t> accepted{0};
     std::atomic<std::uint64_t> rejectedConns{0};
     std::atomic<std::uint64_t> requests{0};

@@ -48,11 +48,11 @@ enum class RequestClass : unsigned
     CacheHit,
     /** Analytical-model answer evaluated inline (warm profiles). */
     EstimateInline,
-    /** Exact simulation through a shard dispatcher. */
+    /** Exact simulation through a shard worker. */
     Exact,
-    /** Analytical-model answer through a shard dispatcher. */
+    /** Analytical-model answer through a shard worker. */
     Estimate,
-    /** run_trace through a shard dispatcher. */
+    /** run_trace through a shard worker. */
     Trace,
     /** health / metrics / shutdown, answered inline. */
     Control,
@@ -127,10 +127,8 @@ struct ShardMetrics
     /** Deepest admission queue seen (guarded by the shard's mtx,
      *  updated at admission). */
     std::uint64_t queueDepthHwm = 0;
-    /** Requests popped by this shard's dispatcher. */
+    /** Requests popped by this shard's workers. */
     std::atomic<std::uint64_t> dispatched{0};
-    /** Size of the most recent engine batch. */
-    std::atomic<std::uint64_t> lastBatch{0};
     obs::LatencyHistogram queueWaitUs;
     obs::LatencyHistogram executeUs;
 };

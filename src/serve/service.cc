@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <fstream>
 #include <shared_mutex>
 
@@ -23,13 +24,73 @@ namespace
 using Clock = std::chrono::steady_clock;
 
 /**
+ * A reader/writer lock that prefers writers: once a writer waits, no
+ * new reader enters.  std::shared_mutex on glibc prefers readers, so
+ * shard workers whose ordinary runs overlap could hold it shared
+ * without a gap and starve a telemetry run forever.
+ */
+class WriterFirstGate
+{
+  public:
+    void
+    lock_shared()
+    {
+        std::unique_lock<std::mutex> lock(mtx);
+        cv.wait(lock, [&] { return writers == 0; });
+        ++readers;
+    }
+
+    void
+    unlock_shared()
+    {
+        std::lock_guard<std::mutex> lock(mtx);
+        if (--readers == 0)
+            cv.notify_all();
+    }
+
+    void
+    lock()
+    {
+        std::unique_lock<std::mutex> lock(mtx);
+        ++writers;
+        cv.wait(lock, [&] { return !writing && readers == 0; });
+        writing = true;
+    }
+
+    void
+    unlock()
+    {
+        std::lock_guard<std::mutex> lock(mtx);
+        writing = false;
+        --writers;
+        cv.notify_all();
+    }
+
+  private:
+    std::mutex mtx;
+    std::condition_variable cv;
+    unsigned readers = 0;
+    /** Writers waiting or holding the gate. */
+    unsigned writers = 0;
+    bool writing = false;
+};
+
+/**
  * Process-wide telemetry gate.  Telemetry runs mutate process-wide
  * observer state (obs::setTelemetryInterval and the TelemetryHub),
- * so with engine shards running batches concurrently a telemetry run
- * must exclude *every* other simulation, not just its own shard's:
- * ordinary runs hold this shared, telemetry runs hold it exclusively.
+ * so with shard workers running requests concurrently a telemetry
+ * run must exclude *every* other simulation, not just its own
+ * shard's: ordinary runs hold this shared, telemetry runs hold it
+ * exclusively.
  */
-std::shared_mutex gTelemetryGate;
+WriterFirstGate gTelemetryGate;
+
+/**
+ * Distinct measurement windows kept warm at once.  Each window gets
+ * its own RunEngine (the engine's run-alone cache is keyed per
+ * engine); the least recently used engine beyond the cap is dropped.
+ */
+constexpr std::size_t kMaxEngines = 4;
 
 /** Serialized-size budget of one streamed telemetry frame. */
 constexpr std::size_t kStreamChunkBytes = 256 * 1024;
@@ -141,11 +202,9 @@ SimulationService::SimulationService(ServiceConfig config)
 {
     if (cfg.jobs == 0)
         cfg.jobs = 1;
-    if (cfg.maxEngines == 0)
-        cfg.maxEngines = 1;
 }
 
-RunEngine &
+std::shared_ptr<RunEngine>
 SimulationService::engineFor(std::uint64_t records)
 {
     std::lock_guard<std::mutex> lock(mtx);
@@ -153,18 +212,21 @@ SimulationService::engineFor(std::uint64_t records)
         if (it->first == records) {
             engines.splice(engines.begin(), engines, it);
             ++stats.engineHits;
-            return *engines.front().second;
+            return engines.front().second;
         }
     }
+    // Requests run on the calling worker's thread, so the engine's
+    // pool stays at one thread: it only holds the memoized run-alone
+    // results.
     engines.emplace_front(
-        records, std::make_unique<RunEngine>(
-                     records, cfg.jobs, cfg.check || check::enabled()));
+        records, std::make_shared<RunEngine>(
+                     records, 1, cfg.check || check::enabled()));
     ++stats.enginesBuilt;
-    while (engines.size() > cfg.maxEngines) {
+    while (engines.size() > kMaxEngines) {
         engines.pop_back();
         ++stats.enginesEvicted;
     }
-    return *engines.front().second;
+    return engines.front().second;
 }
 
 bool
@@ -214,7 +276,7 @@ SimulationService::cacheStore(const std::string &key, const Json &result)
     // its server block (alone_runs, arena_materializations) reflect
     // store time, which cached responses are allowed to do.
     Json hit = result;
-    attachServerInfo(hit, true, 1, 0.0);
+    attachServerInfo(hit, true, 0.0);
     std::string payload = hit.str(0);
     std::lock_guard<std::mutex> lock(mtx);
     if (cache.find(key) == cache.end()) {
@@ -279,7 +341,7 @@ SimulationService::tryEstimate(const Request &req,
         ++stats.estimatesInline;
     }
     cacheStore(cacheKey(req, cfg.defaultRecords), result);
-    attachServerInfo(result, false, 1, msSince(start));
+    attachServerInfo(result, false, msSince(start));
     result_payload = result.str(0);
     return true;
 }
@@ -352,63 +414,54 @@ SimulationService::executeBatch(const std::vector<Request> &batch,
                                 const Emit &emit,
                                 const EmitFrame &frame)
 {
-    if (batch.empty())
-        return;
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        ++stats.batches;
-        stats.batchedCells += batch.size();
-        stats.maxBatch =
-            std::max(stats.maxBatch, std::uint64_t{batch.size()});
-    }
-
-    // Indices that can share one engine dispatch; everything else
-    // (run_trace, telemetry attachment) runs exclusively below.
-    std::vector<std::size_t> pooled;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const Request &req = batch[i];
-        if (req.op == Op::RunMix && req.telemetry == 0 &&
-            req.mode == Mode::Estimate) {
-            // Estimate tier: answer from the result cache, else
-            // evaluate the analytical model (building any cold
-            // workload profiles — Systems, hence the shared gate).
-            const Clock::time_point start = Clock::now();
+        const Clock::time_point start = Clock::now();
+        const std::uint64_t records =
+            req.records != 0 ? req.records : cfg.defaultRecords;
+        if (req.op == Op::RunMix && req.telemetry == 0) {
+            // Estimate tier: the analytical model, building any cold
+            // workload profiles (Systems, hence the shared gate).
+            // Exact tier: a synchronous run on the window's engine.
+            const bool estimate = req.mode == Mode::Estimate;
             {
                 std::lock_guard<std::mutex> lock(mtx);
                 ++stats.runMix;
-                ++stats.estimates;
+                if (estimate)
+                    ++stats.estimates;
             }
+            const std::string key = cacheKey(req, cfg.defaultRecords);
             Json result;
-            if (cacheLookup(cacheKey(req, cfg.defaultRecords),
-                            result)) {
-                attachServerInfo(result, true, batch.size(), 0.0);
+            if (cacheLookup(key, result)) {
+                attachServerInfo(result, true, 0.0);
                 emit(i, okResponse(req, std::move(result)));
                 continue;
             }
             {
-                std::shared_lock<std::shared_mutex> gate(
+                std::shared_lock<WriterFirstGate> gate(
                     gTelemetryGate);
-                result = estimateResult(req, /*build_profiles=*/true);
+                result = estimate
+                             ? estimateResult(req,
+                                              /*build_profiles=*/true)
+                             : runMixResult(*engineFor(records), req);
             }
-            cacheStore(cacheKey(req, cfg.defaultRecords), result);
-            attachServerInfo(result, false, batch.size(),
-                             msSince(start));
+            cacheStore(key, result);
+            attachServerInfo(result, false, msSince(start));
             emit(i, okResponse(req, std::move(result)));
             continue;
         }
-        if (req.op == Op::RunMix && req.telemetry == 0) {
-            pooled.push_back(i);
-            continue;
-        }
-        const Clock::time_point start = Clock::now();
         if (req.op == Op::RunTrace) {
             {
                 std::lock_guard<std::mutex> lock(mtx);
                 ++stats.runTrace;
             }
-            std::shared_lock<std::shared_mutex> gate(gTelemetryGate);
             std::string err;
-            Json result = runTraceResult(req, err);
+            Json result;
+            {
+                std::shared_lock<WriterFirstGate> gate(
+                    gTelemetryGate);
+                result = runTraceResult(req, err);
+            }
             if (!err.empty()) {
                 {
                     std::lock_guard<std::mutex> lock(mtx);
@@ -417,85 +470,38 @@ SimulationService::executeBatch(const std::vector<Request> &batch,
                 emit(i, errorResponse(req, error::kBadRequest, err));
                 continue;
             }
-            attachServerInfo(result, false, 1, msSince(start));
+            attachServerInfo(result, false, msSince(start));
             emit(i, okResponse(req, std::move(result)));
             continue;
         }
         // run_mix with telemetry attachment: exclusive execution (the
         // sampling interval and the TelemetryHub are process-wide, so
         // nothing else may build Systems while it runs — guaranteed
-        // by the exclusive telemetry gate across every shard plus the
-        // serial per-shard dispatcher leaving this engine idle here).
+        // by the exclusive telemetry gate across every shard).
         {
             std::lock_guard<std::mutex> lock(mtx);
             ++stats.runMix;
             ++stats.telemetryRuns;
         }
-        const std::uint64_t records =
-            req.records != 0 ? req.records : cfg.defaultRecords;
-        RunEngine &engine = engineFor(records);
+        const std::shared_ptr<RunEngine> engine = engineFor(records);
         Json result, telemetry;
         {
-            std::unique_lock<std::shared_mutex> gate(gTelemetryGate);
+            std::unique_lock<WriterFirstGate> gate(gTelemetryGate);
             obs::TelemetryHub::instance().clear();
             obs::setTelemetryInterval(req.telemetry);
-            result = runMixResult(engine, req);
+            result = runMixResult(*engine, req);
             obs::setTelemetryInterval(0);
             telemetry = obs::TelemetryHub::instance().drainJson();
         }
+        attachServerInfo(result, false, msSince(start));
         if (req.stream && frame) {
-            attachServerInfo(result, false, 1, msSince(start));
-            emitStream(i, batch[i], std::move(result),
-                       std::move(telemetry), emit, frame);
+            emitStream(i, req, std::move(result), std::move(telemetry),
+                       emit, frame);
             continue;
         }
         result["telemetry"] = std::move(telemetry);
-        attachServerInfo(result, false, 1, msSince(start));
         emit(i, okResponse(req, std::move(result)));
     }
-
-    if (pooled.empty())
-        return;
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        stats.runMix += pooled.size();
-    }
-
-    // Cache hits answer immediately; misses fan out as engine jobs
-    // (all pooled requests share a batchKey, hence one measurement
-    // window and one engine) and emit from their worker callbacks.
-    std::shared_lock<std::shared_mutex> gate(gTelemetryGate);
-    const std::uint64_t records = batch[pooled.front()].records != 0
-                                      ? batch[pooled.front()].records
-                                      : cfg.defaultRecords;
-    RunEngine &engine = engineFor(records);
-    std::vector<std::size_t> misses;
-    for (const std::size_t i : pooled) {
-        const Request &req = batch[i];
-        Json result;
-        if (cacheLookup(cacheKey(req, cfg.defaultRecords), result)) {
-            attachServerInfo(result, true, pooled.size(), 0.0);
-            emit(i, okResponse(req, std::move(result)));
-        } else {
-            misses.push_back(i);
-        }
-    }
-    const Clock::time_point start = Clock::now();
-    for (const std::size_t i : misses) {
-        const Request &req = batch[i];
-        const HierarchyConfig hier = requestHierarchy(req);
-        engine.submitMix(
-            req.mix, req.policy, hier,
-            [this, &req, &emit, &engine, hier, i, start,
-             n = pooled.size()](MixResult res) {
-                Json result = mixResultJson(
-                    res, engine.recordsPerCore(), hier);
-                cacheStore(cacheKey(req, cfg.defaultRecords), result);
-                attachServerInfo(result, false, n, msSince(start));
-                emit(i, okResponse(req, std::move(result)));
-            });
-    }
-    engine.waitIdle();
 }
 
 void
@@ -548,12 +554,10 @@ SimulationService::emitStream(std::size_t i, const Request &req,
 
 void
 SimulationService::attachServerInfo(Json &result, bool cached,
-                                    std::size_t batch_size,
                                     double wall_ms)
 {
     Json s = Json::object();
     s["cached"] = cached;
-    s["batch_size"] = std::uint64_t{batch_size};
     s["wall_ms"] = wall_ms;
     std::uint64_t alone = 0;
     {
@@ -579,9 +583,6 @@ SimulationService::statsJson() const
     s["cache_hits"] = stats.cacheHits;
     s["cache_misses"] = stats.cacheMisses;
     s["cache_entries"] = std::uint64_t{cache.size()};
-    s["batches"] = stats.batches;
-    s["batched_cells"] = stats.batchedCells;
-    s["max_batch"] = stats.maxBatch;
     s["telemetry_runs"] = stats.telemetryRuns;
     s["estimates"] = stats.estimates;
     s["estimates_inline"] = stats.estimatesInline;

@@ -3,22 +3,22 @@
  * The simulation service behind nucached: executes validated
  * nucache-rpc/v1 run requests on shared RunEngines, so served
  * traffic gets the same reuse machinery the bench layer has —
- * arena-materialized workload traces, the memoized run-alone IPC
- * cache, and pool-parallel batch execution — plus a server-side
- * result cache that deterministic simulation makes sound (equal
- * request keys imply byte-equal results).
+ * arena-materialized workload traces and the memoized run-alone IPC
+ * cache — plus a server-side result cache that deterministic
+ * simulation makes sound (equal request keys imply byte-equal
+ * results).
  *
- * The service is transport-free (no sockets): the Server's
- * dispatcher feeds it admitted batches, and tests can drive it
- * directly.  executeBatch() must not be called concurrently with
- * itself *on one instance* (one dispatcher per service); the Server
- * runs one instance per engine shard (`--serve-shards`), so distinct
- * instances do run concurrently.  A process-wide reader/writer gate
- * keeps telemetry runs exclusive across every shard: telemetry
- * mutates process-wide observer state (the sampling interval and the
+ * The service is transport-free (no sockets): the Server's shard
+ * workers each hand it one admitted request at a time, and tests can
+ * drive it directly.  executeBatch() runs on the calling thread and
+ * may be called concurrently on one instance (one call per shard
+ * worker); the Server runs one instance per engine shard
+ * (`--serve-shards`).  A process-wide reader/writer gate keeps
+ * telemetry runs exclusive across every shard: telemetry mutates
+ * process-wide observer state (the sampling interval and the
  * TelemetryHub), so a telemetry run takes the gate exclusively while
- * ordinary runs on other shards hold it shared.  The stats accessors
- * are thread-safe.
+ * ordinary runs hold it shared.  The stats accessors are
+ * thread-safe.
  */
 
 #ifndef NUCACHE_SERVE_SERVICE_HH
@@ -43,24 +43,18 @@ namespace nucache::serve
 /** Tuning knobs of the simulation service. */
 struct ServiceConfig
 {
-    /** Worker threads per engine (request-level batch parallelism). */
+    /** Worker threads per shard, each running one request at a time
+     *  (read by the Server; reported in the stats). */
     unsigned jobs = 1;
     /** Measurement window when a request omits "records". */
     std::uint64_t defaultRecords = 250'000;
     /** Result-cache capacity in responses (0 disables). */
     std::size_t resultCacheEntries = 256;
-    /**
-     * Distinct measurement windows kept warm at once.  Each window
-     * gets its own RunEngine (the engine's run-alone cache is keyed
-     * per engine); least-recently-used engines beyond the cap are
-     * torn down between batches.
-     */
-    std::size_t maxEngines = 4;
     /** Run every served simulation under the invariant checker. */
     bool check = false;
 };
 
-/** Executes admitted request batches; see file comment. */
+/** Executes admitted requests; see file comment. */
 class SimulationService
 {
   public:
@@ -68,8 +62,8 @@ class SimulationService
 
     /**
      * Response sink: invoked exactly once per batch element with its
-     * index and the complete (final) response envelope.  Calls may
-     * arrive from engine worker threads, in any order.
+     * index and the complete (final) response envelope, on the
+     * calling thread, in element order.
      */
     using Emit = std::function<void(std::size_t, Json)>;
 
@@ -81,13 +75,13 @@ class SimulationService
     using EmitFrame = std::function<void(std::size_t, Json)>;
 
     /**
-     * Execute one admitted batch.  Every element must be a run_mix /
-     * run_trace request, and all elements must share a batchKey()
-     * (the dispatcher's grouping invariant); telemetry-attaching
-     * requests arrive as singleton batches and run exclusively.
+     * Execute admitted requests one after another on the calling
+     * thread (the Server's workers pass one each).  Every element
+     * must be a run_mix / run_trace request; telemetry-attaching
+     * run_mix requests run exclusively (see file comment).
      * Streaming requests deliver their payload through @p frame and
      * close with a final frame through @p emit (when @p frame is
-     * null they fall back to one monolithic response).  Blocks until
+     * null they fall back to one monolithic response).  Returns once
      * every response has been emitted.
      */
     void executeBatch(const std::vector<Request> &batch,
@@ -99,9 +93,9 @@ class SimulationService
      * cache, copies the pre-serialized hit payload (the result JSON
      * with its server block marked cached, frozen at store time) into
      * @p result_payload and returns true.  A miss is free — it is not
-     * counted (the dispatcher's authoritative lookup will count it)
+     * counted (the worker's authoritative lookup will count it)
      * and touches no engine, so warm traffic can be answered inline
-     * without the queue → dispatcher → wake round trip, and without
+     * without the queue → worker → wake round trip, and without
      * re-serializing the result per hit.
      */
     bool tryCached(const Request &req, std::string &result_payload);
@@ -113,7 +107,7 @@ class SimulationService
      * process-wide ProfileStore — evaluates the analytical model
      * right here (pure arithmetic, tens of microseconds) and caches
      * the response.  Returns false without blocking when a profile
-     * is cold; the dispatcher path then builds it.  Safe on the
+     * is cold; the worker path then builds it.  Safe on the
      * event-loop thread: never builds a System, never takes the
      * telemetry gate.
      */
@@ -127,8 +121,12 @@ class SimulationService
     std::uint64_t defaultRecords() const { return cfg.defaultRecords; }
 
   private:
-    /** @return the warm engine for @p records, creating/evicting. */
-    RunEngine &engineFor(std::uint64_t records);
+    /**
+     * @return the warm engine for @p records, creating it and
+     * evicting the least recently used one beyond kMaxEngines.  An
+     * evicted engine lives on until its last running request ends.
+     */
+    std::shared_ptr<RunEngine> engineFor(std::uint64_t records);
 
     /** Execute one run_mix request synchronously on @p engine. */
     Json runMixResult(RunEngine &engine, const Request &req);
@@ -138,15 +136,14 @@ class SimulationService
 
     /**
      * Evaluate one estimate-mode run_mix.  @p build_profiles selects
-     * the blocking path (dispatcher: cold profiles are collected,
+     * the blocking path (worker: cold profiles are collected,
      * one pass per workload) or the non-blocking one (event loop:
      * returns an empty Json when any profile is cold).
      */
     Json estimateResult(const Request &req, bool build_profiles);
 
-    /** Append the "server" block (cache/batch/reuse hints). */
-    void attachServerInfo(Json &result, bool cached,
-                          std::size_t batch_size, double wall_ms);
+    /** Append the "server" block (cache/reuse hints). */
+    void attachServerInfo(Json &result, bool cached, double wall_ms);
 
     /**
      * Deliver one finished streaming run as frames: the result,
@@ -166,7 +163,7 @@ class SimulationService
 
     mutable std::mutex mtx;
     /** Engines keyed by measurement window, newest-used first. */
-    std::list<std::pair<std::uint64_t, std::unique_ptr<RunEngine>>>
+    std::list<std::pair<std::uint64_t, std::shared_ptr<RunEngine>>>
         engines;
     /** One cached result plus its pre-serialized hit payload. */
     struct CacheEntry
@@ -190,9 +187,6 @@ class SimulationService
         std::uint64_t runTrace = 0;
         std::uint64_t cacheHits = 0;
         std::uint64_t cacheMisses = 0;
-        std::uint64_t batches = 0;
-        std::uint64_t batchedCells = 0;
-        std::uint64_t maxBatch = 0;
         std::uint64_t telemetryRuns = 0;
         std::uint64_t estimates = 0;
         std::uint64_t estimatesInline = 0;

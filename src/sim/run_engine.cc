@@ -140,26 +140,6 @@ RunEngine::runMix(const WorkloadMix &mix, const std::string &policy_spec,
     return out;
 }
 
-void
-RunEngine::submitMix(const WorkloadMix &mix,
-                     const std::string &policy_spec,
-                     const HierarchyConfig &hier,
-                     std::function<void(MixResult)> done)
-{
-    // Copy the inputs into the job: externally submitted cells (the
-    // serve layer's requests) outlive no caller stack frame.
-    pool.submit([this, mix, policy_spec, hier,
-                 done = std::move(done)] {
-        done(runMix(mix, policy_spec, hier));
-    });
-}
-
-void
-RunEngine::waitIdle()
-{
-    pool.wait();
-}
-
 SystemResult
 RunEngine::runSingle(const std::string &workload,
                      const std::string &policy_spec,

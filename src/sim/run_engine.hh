@@ -102,26 +102,14 @@ class RunEngine
     double aloneIpc(const std::string &workload,
                     const HierarchyConfig &hier);
 
-    /** Run one mix under one policy; fills every derived metric. */
+    /**
+     * Run one mix under one policy on the calling thread; fills every
+     * derived metric.  The serve layer's shard workers call this
+     * concurrently on one engine, sharing its run-alone IPC cache.
+     */
     MixResult runMix(const WorkloadMix &mix,
                      const std::string &policy_spec,
                      const HierarchyConfig &hier);
-
-    /**
-     * Asynchronously run one externally submitted (mix, policy) cell
-     * on the pool and invoke @p done with the finished result (from a
-     * worker thread).  This is the entry point the serve layer's
-     * dispatcher batches requests through: every cell submitted this
-     * way shares the engine's trace arena cursors and run-alone IPC
-     * cache with every other consumer of the engine.  Pair with
-     * waitIdle() to form a batch barrier.
-     */
-    void submitMix(const WorkloadMix &mix, const std::string &policy_spec,
-                   const HierarchyConfig &hier,
-                   std::function<void(MixResult)> done);
-
-    /** Block until every submitted job has finished executing. */
-    void waitIdle();
 
     /**
      * Run one workload alone under an arbitrary policy (single-core

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the nucache-rpc/v1 protocol layer: strict request
- * parsing and validation, batching/caching keys, and the response
+ * parsing and validation, caching keys, and the response
  * envelopes.  Everything here must reject bad input with an error
  * string — never fatal() — because these paths face untrusted bytes.
  */
@@ -240,34 +240,6 @@ TEST(Protocol, RejectsUnsupportableEstimates)
                R"("mode":"estimate"}})");
 }
 
-TEST(Protocol, BatchKeyGroupsCompatibleRequests)
-{
-    const Request a = mustParse(
-        R"({"op":"run_mix","params":{"mix":"mix2_01"}})");
-    const Request b = mustParse(
-        R"({"op":"run_mix","params":{"mix":"mix4_01",)"
-        R"("policy":"lru"}})");
-    // Same measurement window: one engine batch regardless of mix
-    // and policy.
-    EXPECT_EQ(serve::batchKey(a, 250'000), serve::batchKey(b, 250'000));
-    EXPECT_FALSE(serve::batchKey(a, 250'000).empty());
-
-    const Request c = mustParse(
-        R"({"op":"run_mix","params":{"mix":"mix2_01",)"
-        R"("records":5000}})");
-    EXPECT_NE(serve::batchKey(a, 250'000), serve::batchKey(c, 250'000));
-    // An explicit records equal to the server default is the same
-    // window as an absent one.
-    EXPECT_EQ(serve::batchKey(a, 5'000), serve::batchKey(c, 250'000));
-
-    // Telemetry attaches process-wide observer state, so those
-    // requests must run exclusively: no batch key.
-    const Request t = mustParse(
-        R"({"op":"run_mix","params":{"mix":"mix2_01",)"
-        R"("telemetry":true}})");
-    EXPECT_TRUE(serve::batchKey(t, 250'000).empty());
-}
-
 TEST(Protocol, CacheKeyIsCanonicalAndOptOutable)
 {
     const std::string line =
@@ -331,17 +303,6 @@ TEST(Protocol, CacheKeyAuditsEveryResultAffectingField)
         R"({"op":"run_mix","params":{"mix":"mix2_01",)"
         R"("mode":"exact"}})");
     EXPECT_EQ(serve::cacheKey(exact, 250'000), key);
-
-    // Estimates batch separately from exact runs (they never touch
-    // an engine) but still batch with each other.
-    const Request estimate2 = mustParse(
-        R"({"op":"run_mix","params":{"mix":"mix4_01",)"
-        R"("mode":"estimate"}})");
-    EXPECT_FALSE(serve::batchKey(estimate, 250'000).empty());
-    EXPECT_EQ(serve::batchKey(estimate, 250'000),
-              serve::batchKey(estimate2, 250'000));
-    EXPECT_NE(serve::batchKey(estimate, 250'000),
-              serve::batchKey(base, 250'000));
 }
 
 TEST(Protocol, ResponseEnvelopesRoundTrip)

@@ -5,11 +5,13 @@
  * concurrent clients, hostile input (garbage and oversized lines),
  * explicit backpressure on a full admission queue, pipelined in-order
  * delivery, slow-client shedding, streamed telemetry frames, engine
- * shards, and shutdown draining admitted work.
+ * shards, work-conserving shard workers, engine eviction under
+ * concurrency, and shutdown draining admitted work.
  */
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <string>
@@ -221,8 +223,9 @@ TEST_F(ServeTest, FullQueueAnswersOverload)
     cfg.queueDepth = 1;
     startServer(cfg);
 
-    // Occupy the dispatcher with an exclusive (telemetry) run that
-    // takes ~2s, then fill the depth-1 queue and overflow it.
+    // Occupy the shard with an exclusive (telemetry) run that takes
+    // ~2s: its workers pop nothing else while it runs.  Then fill
+    // the depth-1 queue and overflow it.
     TestClient blocker(server->port());
     ASSERT_TRUE(blocker.send(
         R"({"op":"run_mix","id":1,"params":{"mix":"mix2_01",)"
@@ -235,12 +238,11 @@ TEST_F(ServeTest, FullQueueAnswersOverload)
     } while (metrics.at("result")
                  .at("shards")
                  .at(0)
-                 .at("service")
-                 .at("batches")
+                 .at("dispatched")
                  .asUint() == 0);
 
     // Two admissions back-to-back: the first fills the queue while
-    // the dispatcher is busy, the second must get explicit
+    // the workers are held back, the second must get explicit
     // backpressure instead of an unbounded queue or a stalled socket.
     // Both carry the largest queue deadline, so a slow blocker (a
     // sanitizer build with the checker on) cannot expire id 2 first.
@@ -364,6 +366,125 @@ TEST_F(ServeTest, PipelinedResponsesArriveInRequestOrder)
                   static_cast<std::uint64_t>(i));
         EXPECT_TRUE(doc.at("ok").asBool()) << doc.str(0);
     }
+}
+
+/** @return the JSON request line for an uncached run_mix of
+ *  @p mix over a @p records window. */
+std::string
+uncachedMixLine(const std::string &mix, std::uint64_t records)
+{
+    return R"({"op":"run_mix","params":{"mix":")" + mix +
+           R"(","records":)" + std::to_string(records) +
+           R"(,"no_cache":true}})";
+}
+
+/** @return @p response's result without its per-run server block. */
+std::string
+simulatedPart(const Json &response)
+{
+    Json out = Json::object();
+    for (const auto &[k, v] : response.at("result").members())
+        if (k != "server")
+            out[k] = v;
+    return out.str(0);
+}
+
+TEST_F(ServeTest, ShortRunIsNotStuckBehindLongOne)
+{
+    serve::ServerConfig cfg = baseConfig();
+    cfg.shards = 1;
+    cfg.service.jobs = 2;
+    startServer(cfg);
+
+    // A long exact run occupies one of the shard's two workers.
+    TestClient longClient(server->port());
+    ASSERT_TRUE(longClient.send(uncachedMixLine("mix2_01", 1'000'000)));
+    TestClient shortClient(server->port());
+    Json metrics;
+    do {
+        metrics = shortClient.call(R"({"op":"metrics"})");
+    } while (metrics.at("result")
+                 .at("shards")
+                 .at(0)
+                 .at("dispatched")
+                 .asUint() == 0);
+
+    // The idle worker takes the short run at once: its reply arrives
+    // while the long run's socket has nothing to read yet.
+    const Json shortReply =
+        shortClient.call(uncachedMixLine("mix2_01", 2'000));
+    ASSERT_TRUE(shortReply.at("ok").asBool()) << shortReply.str(0);
+    pollfd pfd{longClient.fd, POLLIN, 0};
+    EXPECT_EQ(::poll(&pfd, 1, 0), 0)
+        << "the short run waited for the long one";
+
+    Json longReply;
+    ASSERT_TRUE(longClient.recv(longReply));
+    EXPECT_TRUE(longReply.at("ok").asBool()) << longReply.str(0);
+}
+
+TEST_F(ServeTest, ConcurrentRunsAcrossMoreWindowsThanEngines)
+{
+    serve::ServerConfig cfg = baseConfig();
+    cfg.shards = 1;
+    cfg.service.jobs = 2;
+    startServer(cfg);
+
+    // Five windows, one more than the shard keeps engines for.  One
+    // connection repeats the longest window while the other cycles
+    // through the four short ones, so the long run's engine is
+    // evicted while a worker is still simulating on it.
+    const std::vector<std::uint64_t> shortWindows = {2'000, 2'500,
+                                                     3'000, 3'500};
+    constexpr std::uint64_t kLongWindow = 40'000;
+    constexpr int kRounds = 3;
+    std::vector<Json> longReplies(kRounds);
+    std::vector<Json> shortReplies(kRounds * shortWindows.size());
+    std::thread longThread([&] {
+        TestClient client(server->port());
+        for (Json &reply : longReplies)
+            reply = client.call(uncachedMixLine("mix2_01", kLongWindow));
+    });
+    std::thread shortThread([&] {
+        TestClient client(server->port());
+        for (std::size_t i = 0; i < shortReplies.size(); ++i)
+            shortReplies[i] = client.call(uncachedMixLine(
+                "mix2_02", shortWindows[i % shortWindows.size()]));
+    });
+    longThread.join();
+    shortThread.join();
+
+    // Every reply matches the same request run alone on a fresh
+    // service.
+    serve::SimulationService alone(cfg.service);
+    auto expect = [&](const std::string &line, const Json &reply) {
+        ASSERT_TRUE(reply.isObject());
+        ASSERT_TRUE(reply.at("ok").asBool()) << reply.str(0);
+        serve::Request req;
+        std::string err;
+        ASSERT_TRUE(serve::parseRequest(line, req, err)) << err;
+        Json want;
+        alone.executeBatch({req}, [&](std::size_t, Json response) {
+            want = std::move(response);
+        });
+        EXPECT_EQ(simulatedPart(reply), simulatedPart(want)) << line;
+    };
+    for (const Json &reply : longReplies)
+        expect(uncachedMixLine("mix2_01", kLongWindow), reply);
+    for (std::size_t i = 0; i < shortReplies.size(); ++i)
+        expect(uncachedMixLine("mix2_02",
+                               shortWindows[i % shortWindows.size()]),
+               shortReplies[i]);
+
+    const Json metrics =
+        TestClient(server->port()).call(R"({"op":"metrics"})");
+    EXPECT_GE(metrics.at("result")
+                  .at("shards")
+                  .at(0)
+                  .at("service")
+                  .at("engines_evicted")
+                  .asUint(),
+              1u);
 }
 
 TEST_F(ServeTest, SlowReaderIsShedWhileOthersAreServed)

@@ -693,8 +693,7 @@ summarizeMetrics(const Json &doc)
         shards != nullptr && shards->isArray()) {
         std::cout << "\nper-shard dispatch\n";
         TextTable t;
-        t.header({"shard", "queue", "hwm", "dispatched",
-                  "last_batch"});
+        t.header({"shard", "queue", "hwm", "dispatched"});
         for (const Json &s : shards->elements()) {
             auto n = [&](const char *key) {
                 const Json *v = s.find(key);
@@ -704,8 +703,7 @@ summarizeMetrics(const Json &doc)
                 .cell(n("shard"))
                 .cell(n("queue_len"))
                 .cell(n("queue_depth_hwm"))
-                .cell(n("dispatched"))
-                .cell(n("last_batch"));
+                .cell(n("dispatched"));
         }
         t.print(std::cout);
     }

@@ -8,7 +8,7 @@
  *    outbound buffer occupancy and high-water mark, slow-client sheds
  *    and overloads;
  *  - per-shard rows: dispatch rate, queue depth now / high-water,
- *    last batch size, and a sparkline of recent queue depths;
+ *    and a sparkline of recent queue depths;
  *  - per-class latency percentiles (p50/p99 us) from the server's
  *    log2 histograms;
  *  - the slow-request log (top total latency with phase breakdown).
@@ -146,8 +146,7 @@ render(const Json &m, Sample &prev,
         shards != nullptr && shards->isArray()) {
         std::cout << "\n";
         TextTable t;
-        t.header({"shard", "disp/s", "queue", "hwm", "batch",
-                  "depth trend"});
+        t.header({"shard", "disp/s", "queue", "hwm", "depth trend"});
         for (const Json &s : shards->elements()) {
             const std::uint64_t idx = numberAt(s, "shard");
             const std::uint64_t dispatched =
@@ -171,7 +170,6 @@ render(const Json &m, Sample &prev,
                 .cell(fmtRate(shardRate, haveRate))
                 .cell(numberAt(s, "queue_len"))
                 .cell(numberAt(s, "queue_depth_hwm"))
-                .cell(numberAt(s, "last_batch"))
                 .cell(sparkline({history.begin(), history.end()},
                                 32));
         }

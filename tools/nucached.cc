@@ -2,19 +2,19 @@
  * @file
  * nucached: the persistent NUcache simulation server.  Listens on an
  * IPv4 TCP socket, speaks newline-delimited `nucache-rpc/v1` JSON
- * (see src/serve/protocol.hh), batches compatible run_mix requests
- * onto a shared RunEngine, and answers health/metrics probes.
+ * (see src/serve/protocol.hh), runs each admitted run_mix on a shard
+ * worker over shared RunEngines, and answers health/metrics probes.
  *
  * Usage:
  *   nucached [--host=127.0.0.1] [--port=7411] [--jobs=N]
  *            [--serve-shards=1] [--records=250000]
- *            [--queue-depth=512] [--batch-max=8]
- *            [--deadline-ms=30000] [--max-conns=1024] [--cache=256]
+ *            [--queue-depth=512] [--deadline-ms=30000]
+ *            [--max-conns=1024] [--cache=256]
  *            [--max-outbound-kib=8192] [--check] [--port-file=FILE]
  *            [--trace-out=FILE] [--quiet]
  *
  * --serve-shards runs N independent engine shards, each with its own
- * dispatcher thread, memoized engines, result cache and admission
+ * --jobs worker threads, memoized engines, result cache and admission
  * queue; requests hash to shards by measurement window.
  * --max-outbound-kib caps each connection's outbound buffer: a
  * client that stops reading past the cap is shed (slow_clients in
@@ -72,7 +72,6 @@ main(int argc, char **argv)
     cfg.queueDepth = args.getInt("queue-depth", cfg.queueDepth);
     cfg.defaultDeadlineMs =
         args.getInt("deadline-ms", cfg.defaultDeadlineMs);
-    cfg.batchMax = args.getInt("batch-max", cfg.batchMax);
     cfg.maxConnections = args.getInt("max-conns", cfg.maxConnections);
     cfg.shards = args.getInt("serve-shards", cfg.shards);
     if (cfg.shards == 0 || cfg.shards > 64)
@@ -115,9 +114,9 @@ main(int argc, char **argv)
     // --port-file additionally persists the (possibly ephemeral)
     // bound port for them.
     std::printf("nucached listening on %s:%u (jobs=%u, shards=%zu, "
-                "queue=%zu, batch=%zu, records=%llu)\n",
+                "queue=%zu, records=%llu)\n",
                 cfg.host.c_str(), server.port(), cfg.service.jobs,
-                cfg.shards, cfg.queueDepth, cfg.batchMax,
+                cfg.shards, cfg.queueDepth,
                 static_cast<unsigned long long>(
                     cfg.service.defaultRecords));
     std::fflush(stdout);
