@@ -111,14 +111,12 @@ replayAttack(const std::string &scenario, const std::string &defense,
     const std::string name = attackName(scenario, defense);
     const AttackSpec spec = parseAttackSpec(name);
     Cache target(attackTargetConfig(spec), makePolicy(policy), 1);
-    const TraceSourcePtr trace = makeAttackTrace(name, records);
 
     ReplayCell cell;
     cell.scenario = scenario;
     cell.defense = defense;
     cell.policy = policy;
-    TraceRecord rec;
-    while (trace->next(rec)) {
+    for (const TraceRecord &rec : makeAttackTrace(name, records)) {
         AccessInfo info;
         info.addr = rec.addr;
         info.pc = rec.pc;

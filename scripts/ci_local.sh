@@ -4,8 +4,9 @@
 #   1. lint        clang-format drift check (skipped, with a note,
 #                  when clang-format is not installed)
 #   2. build-and-test
-#                  Release -DNUCACHE_WERROR=ON build, ctest, figure
-#                  and bench smokes, both serve smokes
+#                  Release -DNUCACHE_WERROR=ON build, ctest, figure,
+#                  bench and trace capture-and-replay smokes, both
+#                  serve smokes
 #   3. perf-smoke  throughput bench, telemetry/trace smoke, and the
 #                  lookup, estimate, attack and serve-metrics gates
 #   4. sanitize    asan-ubsan and tsan builds (invariant checker on),
@@ -61,6 +62,7 @@ mkdir -p "$perf"
 python3 -c "import json, sys; d = json.load(open(sys.argv[1])); assert d['schema'] == 'nucache-bench/v1' and d['sections'][0]['cells'], 'malformed bench JSON'" \
     "$perf/bench_fig4_dual_core.json"
 "$rel/tools/nucache_report" --check "$perf/bench_fig4_dual_core.json"
+scripts/trace_smoke.sh "$rel"
 MIN_RPS=5000 ESTIMATE=1 scripts/serve_smoke.sh "$rel"
 SHARDS=2 ATTACK=1 MIN_RPS=5000 scripts/serve_smoke.sh "$rel"
 

@@ -259,35 +259,6 @@ class Campaign
     const Addr victim;
 };
 
-/** Materialized attack trace; reset() replays the identical stream. */
-class AttackTraceSource : public TraceSource
-{
-  public:
-    explicit AttackTraceSource(AttackSpec spec) : spec(std::move(spec))
-    {
-        Campaign campaign(this->spec, recs);
-        campaign.run();
-    }
-
-    bool
-    next(TraceRecord &rec) override
-    {
-        if (pos >= recs.size())
-            return false;
-        rec = recs[pos++];
-        return true;
-    }
-
-    void reset() override { pos = 0; }
-
-    const std::string &name() const override { return spec.name; }
-
-  private:
-    AttackSpec spec;
-    std::vector<TraceRecord> recs;
-    std::size_t pos = 0;
-};
-
 } // anonymous namespace
 
 bool
@@ -435,13 +406,15 @@ attackTargetConfig(const AttackSpec &spec)
     return cfg;
 }
 
-TraceSourcePtr
+std::vector<TraceRecord>
 makeAttackTrace(const std::string &name, std::uint64_t length_override)
 {
     AttackSpec spec = parseAttackSpec(name);
     if (length_override != 0)
         spec.length = length_override;
-    return std::make_unique<AttackTraceSource>(std::move(spec));
+    std::vector<TraceRecord> records;
+    Campaign(spec, records).run();
+    return records;
 }
 
 } // namespace nucache

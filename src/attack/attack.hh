@@ -48,6 +48,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "mem/cache.hh"
 #include "mem/rand_index.hh"
@@ -123,13 +124,12 @@ AttackSpec parseAttackSpec(const std::string &name);
 CacheConfig attackTargetConfig(const AttackSpec &spec);
 
 /**
- * Instantiate attack workload @p name as a TraceSource.  The full
- * campaign is synthesized eagerly (deterministic for a given spec);
- * reset() replays the identical stream.
+ * @return the records of attack workload @p name: the full campaign,
+ * deterministic for a given spec.  fatal() on a malformed name.
  * @param length_override if non-zero, replaces the default length.
  */
-TraceSourcePtr makeAttackTrace(const std::string &name,
-                               std::uint64_t length_override = 0);
+std::vector<TraceRecord> makeAttackTrace(const std::string &name,
+                                         std::uint64_t length_override = 0);
 
 } // namespace nucache
 

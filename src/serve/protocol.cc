@@ -181,6 +181,11 @@ parseRunParams(const Json &params, Request &out, std::string &err)
         out.mode = mode->asString() == "estimate" ? Mode::Estimate
                                                   : Mode::Exact;
     }
+    if (out.op == Op::RunTrace && (out.telemetry != 0 || out.stream)) {
+        err = "run_trace cannot attach telemetry or stream (only "
+              "run_mix records a telemetry document)";
+        return false;
+    }
     if (out.mode == Mode::Estimate) {
         if (out.op == Op::RunTrace) {
             err = "'mode': 'estimate' applies to run_mix only (use "

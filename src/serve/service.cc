@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <fstream>
 #include <shared_mutex>
 
 #include "check/check_mode.hh"
@@ -352,31 +351,15 @@ SimulationService::runTraceResult(const Request &req, std::string &err)
     std::vector<TraceSourcePtr> traces;
     std::uint64_t shortest = kMaxRecords;
     for (const auto &path : req.tracePaths) {
-        std::ifstream is(path, std::ios::binary);
-        if (!is) {
-            err = "cannot open trace '" + path + "'";
-            return Json();
-        }
-        TraceParseResult parsed = tryReadBinaryTrace(is);
+        TraceParseResult parsed = tryLoadTraceFile(path);
         if (!parsed.ok) {
-            // Not the binary format: retry as the text form before
-            // giving up, mirroring what a user would want from a
-            // path they know holds a trace.
-            std::ifstream text(path);
-            parsed = tryReadTextTrace(text);
-        }
-        if (!parsed.ok) {
-            err = "trace '" + path + "': " + parsed.error;
-            return Json();
-        }
-        if (parsed.records.empty()) {
-            err = "trace '" + path + "' is empty";
+            err = parsed.error;
             return Json();
         }
         shortest = std::min(shortest,
                             std::uint64_t{parsed.records.size()});
-        traces.push_back(std::make_unique<VectorTraceSource>(
-            path, std::move(parsed.records)));
+        traces.push_back(
+            std::make_unique<TraceSource>(path, std::move(parsed.records)));
     }
 
     const std::uint64_t records =

@@ -13,6 +13,10 @@ TraceCpu::TraceCpu(CoreId core, TraceSourcePtr source,
 {
     if (!trace)
         fatal("TraceCpu ", core, ": no trace source");
+    records = &trace->records();
+    if (records->empty())
+        fatal("TraceCpu ", core, ": workload '", trace->name(),
+              "' is empty");
     if (!hier)
         fatal("TraceCpu ", core, ": no hierarchy");
     if (target == 0)
@@ -25,14 +29,11 @@ TraceCpu::TraceCpu(CoreId core, TraceSourcePtr source,
 void
 TraceCpu::step()
 {
-    TraceRecord rec;
-    if (!trace->next(rec)) {
-        trace->reset();
+    if (pos == records->size()) {
+        pos = 0;
         ++wrapCount;
-        if (!trace->next(rec))
-            fatal("TraceCpu ", coreId, ": workload '", trace->name(),
-                  "' is empty");
     }
+    const TraceRecord &rec = (*records)[pos++];
 
     // Non-memory instructions retire at CPI 1.
     clock += rec.nonMemGap;

@@ -17,6 +17,7 @@
 #define NUCACHE_SIM_CPU_HH
 
 #include <memory>
+#include <vector>
 
 #include "mem/hierarchy.hh"
 #include "trace/trace.hh"
@@ -30,7 +31,8 @@ class TraceCpu
   public:
     /**
      * @param core      core id within the system.
-     * @param source    workload trace (ownership taken).
+     * @param source    workload trace (ownership taken); fatal() when
+     *                  it holds no records.
      * @param hierarchy shared memory hierarchy (not owned).
      * @param target_records records after which stats freeze; the core
      *        keeps running (wrapping its trace) to maintain pressure.
@@ -71,6 +73,10 @@ class TraceCpu
   private:
     CoreId coreId;
     TraceSourcePtr trace;
+    /** The trace's records, read in place; immutable while it lives. */
+    const std::vector<TraceRecord> *records = nullptr;
+    /** Index of the next record in *records. */
+    std::size_t pos = 0;
     MemoryHierarchy *hier;
     std::uint64_t target;
 

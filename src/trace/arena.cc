@@ -47,17 +47,11 @@ TraceArena::get(const std::string &name, std::uint64_t length_override)
                                               : std::string(),
                         "arena");
 
-    // workloadSpec() fatal()s on unknown names before any state is
+    // workloadRecords() fatal()s on unknown names before any state is
     // published beyond the pending future, matching makeWorkload().
-    const WorkloadSpec spec = workloadSpec(name, length_override);
-    auto records = std::make_shared<std::vector<TraceRecord>>();
-    records->reserve(spec.length);
-    const TraceSourcePtr src = makeWorkload(name, length_override);
-    TraceRecord rec;
-    while (src->next(rec))
-        records->push_back(rec);
-
-    Buffer buffer = std::move(records);
+    // The vector is moved into the buffer, never copied.
+    Buffer buffer = std::make_shared<const std::vector<TraceRecord>>(
+        workloadRecords(name, length_override));
     built.fetch_add(1, std::memory_order_relaxed);
     promise.set_value(buffer);
     return buffer;
@@ -66,7 +60,7 @@ TraceArena::get(const std::string &name, std::uint64_t length_override)
 TraceSourcePtr
 TraceArena::open(const std::string &name, std::uint64_t length_override)
 {
-    return std::make_unique<ArenaCursor>(name, get(name, length_override));
+    return std::make_unique<TraceSource>(name, get(name, length_override));
 }
 
 void

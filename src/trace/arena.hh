@@ -2,7 +2,7 @@
  * @file
  * The shared trace arena: each named workload trace is materialized
  * exactly once per process into an immutable record buffer, and every
- * consumer replays it through a lightweight index cursor.
+ * consumer replays it through a TraceSource cursor.
  *
  * Motivation: a (mix x policy) experiment grid replays the same
  * handful of workloads in every cell, and regenerating the synthetic
@@ -15,10 +15,9 @@
  *
  * Lifetime: buffers live in a process-wide singleton for the rest of
  * the process and are handed out as shared_ptr-to-const, so cursors
- * stay valid even across a clear().  The record stream of a cursor is
- * bit-identical to the SyntheticWorkload it replaces (one full pass,
- * then false; reset() rewinds), which is what keeps engine output
- * byte-identical.
+ * stay valid even across a clear().  A buffer holds exactly the
+ * records workloadRecords() produces, which is what keeps engine
+ * output byte-identical to an uncached makeWorkload().
  */
 
 #ifndef NUCACHE_TRACE_ARENA_HH
@@ -28,10 +27,8 @@
 #include <cstdint>
 #include <future>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "trace/trace.hh"
 
@@ -43,7 +40,7 @@ class TraceArena
 {
   public:
     /** One materialized pass of a workload, immutable and shared. */
-    using Buffer = std::shared_ptr<const std::vector<TraceRecord>>;
+    using Buffer = TraceBuffer;
 
     /** @return the process-wide arena. */
     static TraceArena &instance();
@@ -52,8 +49,8 @@ class TraceArena
      * @return the full record stream of workload @p name (one trace
      * pass), materializing it on first request.  Thread-safe with
      * once-semantics: concurrent first requests materialize once.
-     * @param length_override forwarded to workloadSpec(); part of the
-     *        cache key.
+     * @param length_override forwarded to workloadRecords(); part of
+     *        the cache key.
      */
     Buffer get(const std::string &name,
                std::uint64_t length_override = 0);
@@ -86,36 +83,8 @@ class TraceArena
     std::atomic<std::uint64_t> built{0};
 };
 
-/**
- * Index cursor over an arena buffer.  Cheap to construct per grid
- * cell; reset() rewinds for the wrap-around methodology.
- */
-class ArenaCursor : public TraceSource
-{
-  public:
-    ArenaCursor(std::string workload_name, TraceArena::Buffer buffer)
-        : wlName(std::move(workload_name)), buf(std::move(buffer))
-    {
-    }
-
-    bool
-    next(TraceRecord &rec) override
-    {
-        if (pos >= buf->size())
-            return false;
-        rec = (*buf)[pos++];
-        return true;
-    }
-
-    void reset() override { pos = 0; }
-
-    const std::string &name() const override { return wlName; }
-
-  private:
-    std::string wlName;
-    TraceArena::Buffer buf;
-    std::size_t pos = 0;
-};
+/** The arena cursor's older name, still used by perfbench/. */
+using ArenaCursor = TraceSource;
 
 } // namespace nucache
 

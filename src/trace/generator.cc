@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
 #include "common/bitutil.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 
 namespace nucache
 {
@@ -25,78 +27,22 @@ buildChaseCycle(std::size_t n, std::uint64_t seed)
     return perm;
 }
 
-SyntheticWorkload::SyntheticWorkload(WorkloadSpec s)
-    : spec(std::move(s)), rng(spec.seed)
+namespace
 {
-    if (spec.patterns.empty())
-        fatal("workload '", spec.name, "' has no patterns");
-    if (spec.burstLen == 0)
-        fatal("workload '", spec.name, "' has zero burst length");
-    for (const auto &p : spec.patterns) {
-        if (p.blocks == 0)
-            fatal("workload '", spec.name, "': pattern with 0 blocks");
-        if (p.numPcs == 0)
-            fatal("workload '", spec.name, "': pattern with 0 PCs");
-        if (p.strideBlocks == 0)
-            fatal("workload '", spec.name, "': pattern with 0 stride");
-        if (p.kind == PatternSpec::Kind::Echo &&
-            p.echoDistance >= p.blocks) {
-            fatal("workload '", spec.name,
-                  "': echo distance must be below the region size");
-        }
-    }
-    rebuild();
-}
 
-void
-SyntheticWorkload::rebuild()
+/** Per-pattern state while a trace is generated. */
+struct PatternState
 {
-    rng = Rng(spec.seed);
-    states.clear();
-    zipfSamplers.clear();
-    zipfIndex.assign(spec.patterns.size(), ~std::size_t{0});
-    emitted = 0;
-    activePattern = 0;
-    burstLeft = 0;
+    std::uint64_t cursor = 0;
+    std::uint64_t regionBase = 0;
+    PC pcBase = 0;
+    std::vector<std::uint32_t> perm;    // Chase only
+    std::optional<ZipfSampler> zipf;    // Zipf only
+};
 
-    PC pc_cursor = 0x400000;  // typical text-segment base
-    for (std::size_t i = 0; i < spec.patterns.size(); ++i) {
-        const auto &p = spec.patterns[i];
-        PatternState st;
-        // Disjoint 256 MiB region per pattern.
-        st.regionBase = static_cast<std::uint64_t>(i + 1) << 28;
-        st.pcBase = pc_cursor;
-        pc_cursor += p.numPcs * 4;  // 4-byte instruction slots
-        if (p.kind == PatternSpec::Kind::Chase) {
-            st.perm = buildChaseCycle(static_cast<std::size_t>(p.blocks),
-                                      spec.seed ^ (i * 0x9e37u));
-        }
-        if (p.kind == PatternSpec::Kind::Zipf) {
-            zipfIndex[i] = zipfSamplers.size();
-            zipfSamplers.emplace_back(
-                static_cast<std::size_t>(p.blocks), p.zipfSkew);
-        }
-        states.push_back(std::move(st));
-    }
-}
-
-void
-SyntheticWorkload::reset()
-{
-    rebuild();
-}
-
-unsigned
-SyntheticWorkload::totalPcs() const
-{
-    unsigned n = 0;
-    for (const auto &p : spec.patterns)
-        n += p.numPcs;
-    return n;
-}
-
+/** Pick the pattern for the next burst (weighted, phase-aware). */
 std::size_t
-SyntheticWorkload::pickPattern()
+pickPattern(const WorkloadSpec &spec, std::uint64_t emitted, Rng &rng)
 {
     // Phase gating: group 0 is always eligible, groups 1/2 alternate.
     unsigned live_phase = 0;
@@ -130,12 +76,11 @@ SyntheticWorkload::pickPattern()
     panic("workload '", spec.name, "': pattern pick fell through");
 }
 
-void
-SyntheticWorkload::emitFrom(std::size_t idx, TraceRecord &rec)
+/** @return one record of pattern @p p, advancing its state @p st. */
+TraceRecord
+emitFrom(const PatternSpec &p, PatternState &st, Rng &rng)
 {
-    const auto &p = spec.patterns[idx];
-    auto &st = states[idx];
-
+    TraceRecord rec;
     std::uint64_t block = 0;
     bool echo_touch = false;
     switch (p.kind) {
@@ -152,7 +97,7 @@ SyntheticWorkload::emitFrom(std::size_t idx, TraceRecord &rec)
         block = st.cursor;
         break;
       case PatternSpec::Kind::Zipf:
-        block = zipfSamplers[zipfIndex[idx]].sample(rng);
+        block = st.zipf->sample(rng);
         break;
       case PatternSpec::Kind::Echo:
         // Alternate a fresh touch of block c with the echo touch of
@@ -205,21 +150,64 @@ SyntheticWorkload::emitFrom(std::size_t idx, TraceRecord &rec)
     const double gap_p = 1.0 / (1.0 + p.gapMean);
     rec.nonMemGap = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(rng.geometric(gap_p), 1000));
+    return rec;
 }
 
-bool
-SyntheticWorkload::next(TraceRecord &rec)
+} // anonymous namespace
+
+std::vector<TraceRecord>
+generateTrace(const WorkloadSpec &spec)
 {
-    if (emitted >= spec.length)
-        return false;
-    if (burstLeft == 0) {
-        activePattern = pickPattern();
-        burstLeft = spec.burstLen;
+    if (spec.patterns.empty())
+        fatal("workload '", spec.name, "' has no patterns");
+    if (spec.burstLen == 0)
+        fatal("workload '", spec.name, "' has zero burst length");
+    for (const auto &p : spec.patterns) {
+        if (p.blocks == 0)
+            fatal("workload '", spec.name, "': pattern with 0 blocks");
+        if (p.numPcs == 0)
+            fatal("workload '", spec.name, "': pattern with 0 PCs");
+        if (p.strideBlocks == 0)
+            fatal("workload '", spec.name, "': pattern with 0 stride");
+        if (p.kind == PatternSpec::Kind::Echo &&
+            p.echoDistance >= p.blocks) {
+            fatal("workload '", spec.name,
+                  "': echo distance must be below the region size");
+        }
     }
-    emitFrom(activePattern, rec);
-    --burstLeft;
-    ++emitted;
-    return true;
+
+    std::vector<PatternState> states;
+    PC pc_cursor = 0x400000;  // typical text-segment base
+    for (std::size_t i = 0; i < spec.patterns.size(); ++i) {
+        const auto &p = spec.patterns[i];
+        PatternState st;
+        // Disjoint 256 MiB region per pattern.
+        st.regionBase = static_cast<std::uint64_t>(i + 1) << 28;
+        st.pcBase = pc_cursor;
+        pc_cursor += p.numPcs * 4;  // 4-byte instruction slots
+        if (p.kind == PatternSpec::Kind::Chase) {
+            st.perm = buildChaseCycle(static_cast<std::size_t>(p.blocks),
+                                      spec.seed ^ (i * 0x9e37u));
+        }
+        if (p.kind == PatternSpec::Kind::Zipf)
+            st.zipf.emplace(static_cast<std::size_t>(p.blocks), p.zipfSkew);
+        states.push_back(std::move(st));
+    }
+
+    Rng rng(spec.seed);
+    std::vector<TraceRecord> out;
+    out.reserve(spec.length);
+    std::size_t active = 0;
+    unsigned burst_left = 0;
+    for (std::uint64_t emitted = 0; emitted < spec.length; ++emitted) {
+        if (burst_left == 0) {
+            active = pickPattern(spec, emitted, rng);
+            burst_left = spec.burstLen;
+        }
+        out.push_back(emitFrom(spec.patterns[active], states[active], rng));
+        --burst_left;
+    }
+    return out;
 }
 
 } // namespace nucache

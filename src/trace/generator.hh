@@ -41,7 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hh"
 #include "trace/trace.hh"
 
 namespace nucache
@@ -97,54 +96,12 @@ struct WorkloadSpec
 };
 
 /**
- * Deterministic TraceSource over a WorkloadSpec.
- *
- * Two passes separated by reset() produce identical record streams, a
- * requirement for the wrap-around multiprogramming methodology.
+ * @return one pass of the workload described by @p spec: spec.length
+ * records, deterministic for a given spec.  Calls fatal() on a
+ * malformed spec (no patterns, zero burst, blocks, PCs or stride, or an
+ * echo distance not below its region).
  */
-class SyntheticWorkload : public TraceSource
-{
-  public:
-    explicit SyntheticWorkload(WorkloadSpec spec);
-
-    bool next(TraceRecord &rec) override;
-    void reset() override;
-    const std::string &name() const override { return spec.name; }
-
-    /** @return the generating specification. */
-    const WorkloadSpec &workloadSpec() const { return spec; }
-
-    /** @return total distinct PCs across all patterns. */
-    unsigned totalPcs() const;
-
-  private:
-    struct PatternState
-    {
-        std::uint64_t cursor = 0;
-        std::uint64_t regionBase = 0;
-        PC pcBase = 0;
-        std::vector<std::uint32_t> perm;  // Chase only
-        ZipfSampler *zipf = nullptr;      // Zipf only (owned below)
-    };
-
-    /** Emit one record from pattern @p idx. */
-    void emitFrom(std::size_t idx, TraceRecord &rec);
-
-    /** Pick the pattern for the next burst (weighted, phase-aware). */
-    std::size_t pickPattern();
-
-    /** (Re-)initialize all mutable state from the spec. */
-    void rebuild();
-
-    WorkloadSpec spec;
-    Rng rng;
-    std::vector<PatternState> states;
-    std::vector<ZipfSampler> zipfSamplers;
-    std::vector<std::size_t> zipfIndex;   // pattern -> sampler slot
-    std::uint64_t emitted = 0;
-    std::size_t activePattern = 0;
-    unsigned burstLeft = 0;
-};
+std::vector<TraceRecord> generateTrace(const WorkloadSpec &spec);
 
 /** Build the Chase permutation: a single cycle over [0, n). */
 std::vector<std::uint32_t> buildChaseCycle(std::size_t n,

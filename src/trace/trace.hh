@@ -1,11 +1,16 @@
 /**
  * @file
- * Memory-access trace records and the abstract trace-source interface.
+ * Memory-access trace records and the one trace cursor.
  *
  * A trace is the unit of workload in this simulator: a stream of memory
  * references annotated with the issuing static instruction (PC) and the
  * number of non-memory instructions executed since the previous
  * reference (used by the timing model).
+ *
+ * Every producer (the synthetic generator, the attack campaigns, the
+ * trace-file loaders) builds a std::vector<TraceRecord>; a trace is a
+ * name plus that vector, immutable and shared.  TraceSource is the one
+ * concrete cursor that replays it.
  */
 
 #ifndef NUCACHE_TRACE_TRACE_HH
@@ -14,6 +19,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/types.hh"
 
@@ -33,18 +40,31 @@ struct TraceRecord
     bool isWrite = false;
 };
 
+/** One full pass of a trace, immutable and shared between cursors. */
+using TraceBuffer = std::shared_ptr<const std::vector<TraceRecord>>;
+
 /**
- * Abstract producer of trace records.
+ * Index cursor over a shared trace buffer.
  *
- * Sources must be resettable so multiprogrammed runs can wrap a
- * finished workload around (the standard first-wrap methodology), and
- * must be deterministic: two passes after reset() yield identical
- * streams.
+ * Cheap to construct per run; reset() rewinds so multiprogrammed runs
+ * can wrap a finished workload around (the standard first-wrap
+ * methodology), and two passes are identical because the buffer is
+ * immutable.
  */
 class TraceSource
 {
   public:
-    virtual ~TraceSource() = default;
+    TraceSource(std::string name, TraceBuffer records)
+        : traceName(std::move(name)), buf(std::move(records))
+    {
+    }
+
+    TraceSource(std::string name, std::vector<TraceRecord> records)
+        : TraceSource(std::move(name),
+                      std::make_shared<const std::vector<TraceRecord>>(
+                          std::move(records)))
+    {
+    }
 
     /**
      * Produce the next record.
@@ -52,16 +72,31 @@ class TraceSource
      * @retval true a record was produced.
      * @retval false the trace is exhausted (reset() to replay).
      */
-    virtual bool next(TraceRecord &rec) = 0;
+    bool
+    next(TraceRecord &rec)
+    {
+        if (pos >= buf->size())
+            return false;
+        rec = (*buf)[pos++];
+        return true;
+    }
 
     /** Rewind to the beginning of the stream. */
-    virtual void reset() = 0;
+    void reset() { pos = 0; }
 
     /** @return a short human-readable workload name. */
-    virtual const std::string &name() const = 0;
+    const std::string &name() const { return traceName; }
+
+    /** @return the whole record stream, for in-place replay. */
+    const std::vector<TraceRecord> &records() const { return *buf; }
+
+  private:
+    std::string traceName;
+    TraceBuffer buf;
+    std::size_t pos = 0;
 };
 
-/** Owning handle for polymorphic trace sources. */
+/** Owning handle for trace cursors. */
 using TraceSourcePtr = std::unique_ptr<TraceSource>;
 
 } // namespace nucache

@@ -254,35 +254,37 @@ readTextTrace(std::istream &is)
     return std::move(out.records);
 }
 
-VectorTraceSource::VectorTraceSource(std::string name,
-                                     std::vector<TraceRecord> records)
-    : sourceName(std::move(name)), records(std::move(records)), cursor(0)
+TraceParseResult
+tryLoadTraceFile(const std::string &path)
 {
-}
-
-bool
-VectorTraceSource::next(TraceRecord &rec)
-{
-    if (cursor >= records.size())
-        return false;
-    rec = records[cursor++];
-    return true;
-}
-
-void
-VectorTraceSource::reset()
-{
-    cursor = 0;
+    TraceParseResult out;
+    std::ifstream is(path, std::ios::binary);
+    if (!is) {
+        out.error = "cannot open trace file '" + path + "'";
+        return out;
+    }
+    std::array<char, 8> magic{};
+    is.read(magic.data(), magic.size());
+    const bool binary = is && magic == traceMagic;
+    is.clear();
+    is.seekg(0);
+    out = binary ? tryReadBinaryTrace(is) : tryReadTextTrace(is);
+    if (!out.ok) {
+        out.error = "trace '" + path + "': " + out.error;
+    } else if (out.records.empty()) {
+        out.ok = false;
+        out.error = "trace '" + path + "' is empty";
+    }
+    return out;
 }
 
 TraceSourcePtr
 loadTraceFile(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        fatal("cannot open trace file '", path, "'");
-    auto records = readBinaryTrace(is);
-    return std::make_unique<VectorTraceSource>(path, std::move(records));
+    TraceParseResult out = tryLoadTraceFile(path);
+    if (!out.ok)
+        fatal(out.error);
+    return std::make_unique<TraceSource>(path, std::move(out.records));
 }
 
 } // namespace nucache

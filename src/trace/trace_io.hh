@@ -1,6 +1,6 @@
 /**
  * @file
- * Binary trace file format: writer, reader, and an in-memory source.
+ * Trace file formats: writers, readers, and the one file loader.
  *
  * Layout (little-endian):
  *   8-byte magic "NUTRACE1"
@@ -10,7 +10,7 @@
  * The format is intentionally trivial; its job is to let users capture a
  * workload once (e.g.\ from a pintool) and replay it through the
  * simulator.  A text form ("pc addr gap r|w" per line) is provided for
- * hand-written tests.
+ * hand-written tests; tryLoadTraceFile() accepts either.
  */
 
 #ifndef NUCACHE_TRACE_TRACE_IO_HH
@@ -82,28 +82,14 @@ TraceParseResult tryReadTextTrace(std::istream &is);
 std::vector<TraceRecord> readTextTrace(std::istream &is);
 
 /**
- * TraceSource over an in-memory record vector.  Used for file replay
- * and as the workhorse of unit tests.
+ * Load the trace file at @p path without ever exiting the process:
+ * the binary format when the file starts with its magic, the text form
+ * otherwise.  A file that cannot be opened, does not parse or holds no
+ * records is an error.
  */
-class VectorTraceSource : public TraceSource
-{
-  public:
-    VectorTraceSource(std::string name, std::vector<TraceRecord> records);
+TraceParseResult tryLoadTraceFile(const std::string &path);
 
-    bool next(TraceRecord &rec) override;
-    void reset() override;
-    const std::string &name() const override { return sourceName; }
-
-    /** @return number of records in the trace. */
-    std::size_t size() const { return records.size(); }
-
-  private:
-    std::string sourceName;
-    std::vector<TraceRecord> records;
-    std::size_t cursor;
-};
-
-/** Load a binary trace file into a VectorTraceSource; fatal() on error. */
+/** tryLoadTraceFile() as a cursor named @p path; fatal() on error. */
 TraceSourcePtr loadTraceFile(const std::string &path);
 
 } // namespace nucache

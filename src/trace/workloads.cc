@@ -315,19 +315,6 @@ isWorkloadName(const std::string &name)
 WorkloadSpec
 workloadSpec(const std::string &name, std::uint64_t length_override)
 {
-    if (isAttackName(name)) {
-        // Synthesize a minimal spec: consumers of attack names use it
-        // only for the name/seed/length envelope (the arena's reserve
-        // in particular) — the records come from makeAttackTrace.
-        const AttackSpec attack = parseAttackSpec(name);
-        WorkloadSpec spec;
-        spec.name = attack.name;
-        spec.seed = attack.seed;
-        spec.length = attack.length;
-        if (length_override != 0)
-            spec.length = length_override;
-        return spec;
-    }
     const auto it = catalog().find(name);
     if (it == catalog().end())
         fatal("unknown workload '", name, "'");
@@ -337,13 +324,19 @@ workloadSpec(const std::string &name, std::uint64_t length_override)
     return spec;
 }
 
-TraceSourcePtr
-makeWorkload(const std::string &name, std::uint64_t length_override)
+std::vector<TraceRecord>
+workloadRecords(const std::string &name, std::uint64_t length_override)
 {
     if (isAttackName(name))
         return makeAttackTrace(name, length_override);
-    return std::make_unique<SyntheticWorkload>(
-        workloadSpec(name, length_override));
+    return generateTrace(workloadSpec(name, length_override));
+}
+
+TraceSourcePtr
+makeWorkload(const std::string &name, std::uint64_t length_override)
+{
+    return std::make_unique<TraceSource>(
+        name, workloadRecords(name, length_override));
 }
 
 } // namespace nucache

@@ -3,7 +3,8 @@
  * The catalog of named synthetic workloads standing in for the SPEC
  * benchmarks of the paper's evaluation (see DESIGN.md, Substitutions).
  *
- * Each workload is a deterministic SyntheticWorkload spec.  Names
+ * Each workload is a deterministic WorkloadSpec for generateTrace(),
+ * plus the attack:* family synthesized by src/attack/.  Names
  * describe the dominant behaviour; the doc comment of each entry in
  * workloads.cc names the SPEC class it is modeled after.
  *
@@ -30,13 +31,25 @@ const std::vector<std::string> &workloadNames();
 bool isWorkloadName(const std::string &name);
 
 /**
- * @return the spec of workload @p name; fatal() on unknown names.
+ * @return the spec of cataloged workload @p name; fatal() on unknown
+ * names (attack:* names have no spec, see workloadRecords()).
  * @param length_override if non-zero, replaces the default trace length.
  */
 WorkloadSpec workloadSpec(const std::string &name,
                           std::uint64_t length_override = 0);
 
-/** Instantiate workload @p name as a TraceSource. */
+/**
+ * @return one pass of workload @p name, synthetic or attack:*; the one
+ * place that dispatches between the two.  fatal() on unknown names.
+ * @param length_override if non-zero, replaces the default trace length.
+ */
+std::vector<TraceRecord> workloadRecords(const std::string &name,
+                                         std::uint64_t length_override = 0);
+
+/**
+ * @return a cursor over workloadRecords(name, length_override).  Not
+ * cached: TraceArena::open() is the shared, materialize-once variant.
+ */
 TraceSourcePtr makeWorkload(const std::string &name,
                             std::uint64_t length_override = 0);
 

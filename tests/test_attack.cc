@@ -225,10 +225,9 @@ TEST(AttackSpec, DispatchesThroughTheWorkloadLayer)
     EXPECT_FALSE(isWorkloadName("attack:bogus"));
     EXPECT_FALSE(isWorkloadName("attack:evset:def=hope"));
 
-    const WorkloadSpec spec = workloadSpec("attack:evset:seed=4", 5000);
-    EXPECT_EQ(spec.name, "attack:evset:seed=4");
-    EXPECT_EQ(spec.seed, 4u);
-    EXPECT_EQ(spec.length, 5000u);
+    const TraceSourcePtr trace = makeWorkload("attack:evset:seed=4", 5000);
+    EXPECT_EQ(trace->name(), "attack:evset:seed=4");
+    EXPECT_EQ(trace->records().size(), 5000u);
 }
 
 // ---- generator contracts -------------------------------------------
@@ -262,8 +261,8 @@ TEST(AttackTrace, DeterministicAndResettable)
     for (const std::string name :
          {"attack:evset", "attack:evset:def=rand-dynamic",
           "attack:storm"}) {
-        const TraceSourcePtr one = makeAttackTrace(name, 20'000);
-        const TraceSourcePtr two = makeAttackTrace(name, 20'000);
+        const TraceSourcePtr one = makeWorkload(name, 20'000);
+        const TraceSourcePtr two = makeWorkload(name, 20'000);
         const std::vector<TraceRecord> first = drain(*one);
         EXPECT_EQ(first.size(), 20'000u) << name;
         EXPECT_TRUE(sameStream(first, drain(*two))) << name;
@@ -277,11 +276,9 @@ TEST(AttackTrace, SeedChangesDefendedCampaigns)
 {
     // The defended search is randomized; different seeds must explore
     // different pools (the benches rely on seed as the variation knob).
-    const TraceSourcePtr a =
-        makeAttackTrace("attack:evset:def=rand,seed=1", 10'000);
-    const TraceSourcePtr b =
-        makeAttackTrace("attack:evset:def=rand,seed=2", 10'000);
-    EXPECT_FALSE(sameStream(drain(*a), drain(*b)));
+    EXPECT_FALSE(
+        sameStream(makeAttackTrace("attack:evset:def=rand,seed=1", 10'000),
+                   makeAttackTrace("attack:evset:def=rand,seed=2", 10'000)));
 }
 
 /** Replay @p name against its own target; @return evictions per access. */
@@ -291,10 +288,8 @@ attackRate(const std::string &name, std::uint64_t records)
     const AttackSpec spec = parseAttackSpec(name);
     Cache target(attackTargetConfig(spec),
                  std::make_unique<LruPolicy>(), 1);
-    const TraceSourcePtr trace = makeAttackTrace(name, records);
-    TraceRecord rec;
     std::uint64_t accesses = 0, evictions = 0;
-    while (trace->next(rec)) {
+    for (const TraceRecord &rec : makeAttackTrace(name, records)) {
         AccessInfo info;
         info.addr = rec.addr;
         info.pc = rec.pc;

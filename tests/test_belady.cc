@@ -98,7 +98,7 @@ TEST(Belady, CollectLlcStreamFiltersThroughL1)
         r.pc = 1;
         recs.push_back(r);
     }
-    VectorTraceSource src("t", recs);
+    TraceSource src("t", recs);
     const CacheConfig l1{"l1", 512, 2, 64};
     const auto stream = collectLlcBlockStream(src, l1, 64, 2);
     ASSERT_EQ(stream.size(), 1u);
@@ -109,7 +109,7 @@ TEST(Belady, CollectWrapsTrace)
 {
     std::vector<TraceRecord> recs(1);
     recs[0].addr = 0x40;
-    VectorTraceSource src("t", recs);
+    TraceSource src("t", recs);
     const CacheConfig l1{"l1", 512, 2, 64};
     // 5 records from a 1-record trace: wraps; all L1 hits after first.
     const auto stream = collectLlcBlockStream(src, l1, 64, 5);

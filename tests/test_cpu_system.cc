@@ -10,7 +10,7 @@
 
 #include "mem/lru.hh"
 #include "sim/system.hh"
-#include "trace/trace_io.hh"
+#include "trace/trace.hh"
 
 namespace nucache
 {
@@ -48,8 +48,7 @@ TEST(TraceCpu, IpcAccounting)
 {
     MemoryHierarchy mh(tinyHierarchy(1), std::make_unique<LruPolicy>());
     // One record, gap 2, cold access (1 + 10 + 100 = 111 cycles).
-    auto src = std::make_unique<VectorTraceSource>(
-        "t", simpleTrace(1, 64, 2));
+    auto src = std::make_unique<TraceSource>("t", simpleTrace(1, 64, 2));
     TraceCpu cpu(0, std::move(src), &mh, 1);
     EXPECT_FALSE(cpu.done());
     cpu.step();
@@ -62,7 +61,7 @@ TEST(TraceCpu, IpcAccounting)
 TEST(TraceCpu, WrapsTraceAndCounts)
 {
     MemoryHierarchy mh(tinyHierarchy(1), std::make_unique<LruPolicy>());
-    auto src = std::make_unique<VectorTraceSource>("t", simpleTrace(5));
+    auto src = std::make_unique<TraceSource>("t", simpleTrace(5));
     TraceCpu cpu(0, std::move(src), &mh, 12);
     for (int i = 0; i < 12; ++i)
         cpu.step();
@@ -74,8 +73,8 @@ TEST(TraceCpu, WrapsTraceAndCounts)
 TEST(TraceCpu, CoresLiveInDisjointAddressAndPcSpaces)
 {
     MemoryHierarchy mh(tinyHierarchy(2), std::make_unique<LruPolicy>());
-    auto s0 = std::make_unique<VectorTraceSource>("a", simpleTrace(4));
-    auto s1 = std::make_unique<VectorTraceSource>("b", simpleTrace(4));
+    auto s0 = std::make_unique<TraceSource>("a", simpleTrace(4));
+    auto s1 = std::make_unique<TraceSource>("b", simpleTrace(4));
     TraceCpu c0(0, std::move(s0), &mh, 4);
     TraceCpu c1(1, std::move(s1), &mh, 4);
     for (int i = 0; i < 4; ++i) {
@@ -91,9 +90,9 @@ TEST(System, RunsToCompletionAndReports)
 {
     std::vector<TraceSourcePtr> traces;
     traces.push_back(
-        std::make_unique<VectorTraceSource>("a", simpleTrace(100)));
+        std::make_unique<TraceSource>("a", simpleTrace(100)));
     traces.push_back(
-        std::make_unique<VectorTraceSource>("b", simpleTrace(50)));
+        std::make_unique<TraceSource>("b", simpleTrace(50)));
     System sys(tinyHierarchy(2), std::make_unique<LruPolicy>(),
                std::move(traces), 200);
     const SystemResult res = sys.run();
@@ -114,10 +113,9 @@ TEST(System, DeterministicAcrossRuns)
     const auto run = [] {
         std::vector<TraceSourcePtr> traces;
         traces.push_back(
-            std::make_unique<VectorTraceSource>("a", simpleTrace(64)));
+            std::make_unique<TraceSource>("a", simpleTrace(64)));
         traces.push_back(
-            std::make_unique<VectorTraceSource>("b",
-                                                simpleTrace(64, 128)));
+            std::make_unique<TraceSource>("b", simpleTrace(64, 128)));
         System sys(tinyHierarchy(2), std::make_unique<LruPolicy>(),
                    std::move(traces), 150);
         return sys.run();
@@ -150,8 +148,8 @@ TEST(System, StatsJsonPinsTreeShape)
         cfg.prefetch.enabled = prefetch;
         std::vector<TraceSourcePtr> traces;
         traces.push_back(
-            std::make_unique<VectorTraceSource>("a", simpleTrace(64)));
-        traces.push_back(std::make_unique<VectorTraceSource>(
+            std::make_unique<TraceSource>("a", simpleTrace(64)));
+        traces.push_back(std::make_unique<TraceSource>(
             "b", simpleTrace(64, 128)));
         System sys(cfg, std::make_unique<LruPolicy>(), std::move(traces),
                    150);
@@ -196,7 +194,7 @@ TEST(SystemDeathTest, TraceCountMustMatchCores)
 {
     std::vector<TraceSourcePtr> traces;
     traces.push_back(
-        std::make_unique<VectorTraceSource>("a", simpleTrace(10)));
+        std::make_unique<TraceSource>("a", simpleTrace(10)));
     EXPECT_EXIT(System(tinyHierarchy(2), std::make_unique<LruPolicy>(),
                        std::move(traces), 10),
                 ::testing::ExitedWithCode(1), "1 traces for 2 cores");
@@ -205,10 +203,9 @@ TEST(SystemDeathTest, TraceCountMustMatchCores)
 TEST(TraceCpuDeathTest, EmptyWorkloadIsFatal)
 {
     MemoryHierarchy mh(tinyHierarchy(1), std::make_unique<LruPolicy>());
-    auto src = std::make_unique<VectorTraceSource>("e",
-                                                   simpleTrace(0));
-    TraceCpu cpu(0, std::move(src), &mh, 1);
-    EXPECT_EXIT(cpu.step(), ::testing::ExitedWithCode(1), "is empty");
+    auto src = std::make_unique<TraceSource>("e", simpleTrace(0));
+    EXPECT_EXIT(TraceCpu(0, std::move(src), &mh, 1),
+                ::testing::ExitedWithCode(1), "is empty");
 }
 
 } // anonymous namespace

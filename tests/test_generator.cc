@@ -29,26 +29,15 @@ singlePattern(PatternSpec p, std::uint64_t length = 50000)
     return w;
 }
 
-std::vector<TraceRecord>
-drain(SyntheticWorkload &w)
-{
-    std::vector<TraceRecord> recs;
-    TraceRecord r;
-    while (w.next(r))
-        recs.push_back(r);
-    return recs;
-}
-
-TEST(Generator, DeterministicAcrossReset)
+TEST(Generator, DeterministicAcrossCalls)
 {
     PatternSpec p;
     p.kind = PatternSpec::Kind::Zipf;
     p.blocks = 1024;
     p.numPcs = 8;
-    SyntheticWorkload w(singlePattern(p, 5000));
-    const auto first = drain(w);
-    w.reset();
-    const auto second = drain(w);
+    const WorkloadSpec spec = singlePattern(p, 5000);
+    const auto first = generateTrace(spec);
+    const auto second = generateTrace(spec);
     ASSERT_EQ(first.size(), second.size());
     for (std::size_t i = 0; i < first.size(); ++i) {
         ASSERT_EQ(first[i].addr, second[i].addr) << "record " << i;
@@ -63,8 +52,7 @@ TEST(Generator, HonorsLength)
     PatternSpec p;
     p.kind = PatternSpec::Kind::Loop;
     p.blocks = 16;
-    SyntheticWorkload w(singlePattern(p, 1234));
-    EXPECT_EQ(drain(w).size(), 1234u);
+    EXPECT_EQ(generateTrace(singlePattern(p, 1234)).size(), 1234u);
 }
 
 TEST(Generator, LoopIsCyclic)
@@ -73,8 +61,7 @@ TEST(Generator, LoopIsCyclic)
     p.kind = PatternSpec::Kind::Loop;
     p.blocks = 64;
     p.numPcs = 4;
-    SyntheticWorkload w(singlePattern(p, 256));
-    const auto recs = drain(w);
+    const auto recs = generateTrace(singlePattern(p, 256));
     // One pattern only: addresses repeat with period = blocks.
     for (std::size_t i = 0; i + 64 < recs.size(); ++i)
         ASSERT_EQ(recs[i].addr, recs[i + 64].addr) << "at " << i;
@@ -86,10 +73,8 @@ TEST(Generator, LoopBlockToPcMappingIsStable)
     p.kind = PatternSpec::Kind::Loop;
     p.blocks = 64;
     p.numPcs = 8;
-    SyntheticWorkload w(singlePattern(p, 1000));
     std::unordered_map<Addr, PC> block_pc;
-    TraceRecord r;
-    while (w.next(r)) {
+    for (const TraceRecord &r : generateTrace(singlePattern(p, 1000))) {
         const auto it = block_pc.find(r.addr);
         if (it == block_pc.end())
             block_pc[r.addr] = r.pc;
@@ -103,10 +88,8 @@ TEST(Generator, StreamNeverReusesWithinWindow)
     PatternSpec p;
     p.kind = PatternSpec::Kind::Stream;
     p.blocks = 1 << 20;
-    SyntheticWorkload w(singlePattern(p, 20000));
     std::set<Addr> seen;
-    TraceRecord r;
-    while (w.next(r))
+    for (const TraceRecord &r : generateTrace(singlePattern(p, 20000)))
         ASSERT_TRUE(seen.insert(r.addr).second) << "reused " << r.addr;
 }
 
@@ -116,10 +99,8 @@ TEST(Generator, ChaseVisitsEveryBlockBeforeRepeating)
     p.kind = PatternSpec::Kind::Chase;
     p.blocks = 128;
     p.numPcs = 4;
-    SyntheticWorkload w(singlePattern(p, 128));
     std::set<Addr> seen;
-    TraceRecord r;
-    while (w.next(r))
+    for (const TraceRecord &r : generateTrace(singlePattern(p, 128)))
         seen.insert(r.addr);
     // A Sattolo cycle covers all blocks in exactly `blocks` steps.
     EXPECT_EQ(seen.size(), 128u);
@@ -144,12 +125,10 @@ TEST(Generator, EchoTouchesEveryBlockExactlyTwice)
     p.echoDistance = 64;
     p.numPcs = 8;
     // 2000 steps = 1000 fresh + 1000 echoes of blocks 1000-64 back.
-    SyntheticWorkload w(singlePattern(p, 2000));
     std::map<Addr, int> touches;
     std::map<Addr, std::vector<std::size_t>> when;
-    TraceRecord r;
     std::size_t t = 0;
-    while (w.next(r)) {
+    for (const TraceRecord &r : generateTrace(singlePattern(p, 2000))) {
         touches[r.addr]++;
         when[r.addr].push_back(t++);
     }
@@ -173,12 +152,10 @@ TEST(Generator, EchoUsesDisjointProducerConsumerPcs)
     p.blocks = 4096;
     p.echoDistance = 32;
     p.numPcs = 8;
-    SyntheticWorkload w(singlePattern(p, 4000));
     std::set<PC> fresh_pcs, echo_pcs;
     std::set<Addr> seen;
-    TraceRecord r;
     std::size_t t = 0;
-    while (w.next(r)) {
+    for (const TraceRecord &r : generateTrace(singlePattern(p, 4000))) {
         // The first 2E steps contain cold "echo" touches of blocks
         // never produced (the warm-up wrap); skip them so the
         // first-seen test identifies fresh touches correctly.
@@ -204,10 +181,8 @@ TEST(Generator, ZipfAssignsPcByPopularityBand)
     p.blocks = 1024;
     p.numPcs = 4;
     p.zipfSkew = 1.2;
-    SyntheticWorkload w(singlePattern(p, 30000));
     std::map<PC, std::uint64_t> counts;
-    TraceRecord r;
-    while (w.next(r))
+    for (const TraceRecord &r : generateTrace(singlePattern(p, 30000)))
         counts[r.pc]++;
     ASSERT_GE(counts.size(), 2u);
     // Lower PC index = hotter band = more accesses.
@@ -239,11 +214,9 @@ TEST(Generator, PhaseGatingAlternates)
     b.blocks = 8;
     b.phase = 2;
     w.patterns = {a, b};
-    SyntheticWorkload sw(w);
     // Pattern regions differ, so phase is visible in the address.
-    TraceRecord r;
     std::size_t t = 0;
-    while (sw.next(r)) {
+    for (const TraceRecord &r : generateTrace(w)) {
         const bool in_b = r.addr >= (2ull << 28);
         const bool phase_b = (t / 1000) % 2 == 1;
         // Bursts can straddle the boundary by < burstLen records.
@@ -267,9 +240,7 @@ TEST(Generator, PatternsUseDisjointRegions)
     b.kind = PatternSpec::Kind::Stream;
     b.blocks = 1 << 20;
     w.patterns = {a, b};
-    SyntheticWorkload sw(w);
-    TraceRecord r;
-    while (sw.next(r)) {
+    for (const TraceRecord &r : generateTrace(w)) {
         const std::uint64_t region = r.addr >> 28;
         ASSERT_TRUE(region == 1 || region == 2);
     }
@@ -281,11 +252,9 @@ TEST(Generator, GapMeanApproximatelyHonored)
     p.kind = PatternSpec::Kind::Loop;
     p.blocks = 128;
     p.gapMean = 6.0;
-    SyntheticWorkload w(singlePattern(p, 50000));
     double sum = 0.0;
-    TraceRecord r;
     std::size_t n = 0;
-    while (w.next(r)) {
+    for (const TraceRecord &r : generateTrace(singlePattern(p, 50000))) {
         sum += r.nonMemGap;
         ++n;
     }
@@ -298,10 +267,8 @@ TEST(Generator, WriteFractionApproximatelyHonored)
     p.kind = PatternSpec::Kind::Loop;
     p.blocks = 128;
     p.writeFrac = 0.3;
-    SyntheticWorkload w(singlePattern(p, 50000));
     std::size_t writes = 0, n = 0;
-    TraceRecord r;
-    while (w.next(r)) {
+    for (const TraceRecord &r : generateTrace(singlePattern(p, 50000))) {
         writes += r.isWrite ? 1 : 0;
         ++n;
     }
@@ -312,19 +279,19 @@ TEST(GeneratorDeathTest, RejectsDegenerateSpecs)
 {
     WorkloadSpec empty;
     empty.name = "empty";
-    EXPECT_EXIT(SyntheticWorkload{empty}, ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(generateTrace(empty), ::testing::ExitedWithCode(1),
                 "no patterns");
 
     PatternSpec zero_blocks;
     zero_blocks.blocks = 0;
-    EXPECT_EXIT(SyntheticWorkload{singlePattern(zero_blocks)},
+    EXPECT_EXIT(generateTrace(singlePattern(zero_blocks)),
                 ::testing::ExitedWithCode(1), "0 blocks");
 
     PatternSpec bad_echo;
     bad_echo.kind = PatternSpec::Kind::Echo;
     bad_echo.blocks = 64;
     bad_echo.echoDistance = 64;
-    EXPECT_EXIT(SyntheticWorkload{singlePattern(bad_echo)},
+    EXPECT_EXIT(generateTrace(singlePattern(bad_echo)),
                 ::testing::ExitedWithCode(1), "echo distance");
 }
 

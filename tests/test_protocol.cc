@@ -240,6 +240,27 @@ TEST(Protocol, RejectsUnsupportableEstimates)
                R"("mode":"estimate"}})");
 }
 
+TEST(Protocol, RunTraceRejectsTelemetryAndStream)
+{
+    // run_trace records no telemetry document, so neither knob may be
+    // accepted and then silently dropped.
+    for (const char *extra : {R"("telemetry":500)", R"("telemetry":true)",
+                              R"("telemetry":500,"stream":true)"}) {
+        const std::string err = mustReject(
+            std::string(R"({"op":"run_trace","params":{"traces":["/x"],)") +
+            extra + "}}");
+        EXPECT_NE(err.find("run_trace cannot attach telemetry"),
+                  std::string::npos)
+            << extra << ": " << err;
+    }
+    // Turning telemetry off is not a request for it.
+    const Request off = mustParse(
+        R"({"op":"run_trace","params":{"traces":["/x"],)"
+        R"("telemetry":false}})");
+    EXPECT_EQ(off.telemetry, 0u);
+    EXPECT_FALSE(off.stream);
+}
+
 TEST(Protocol, CacheKeyIsCanonicalAndOptOutable)
 {
     const std::string line =

@@ -6,7 +6,8 @@
  * explicit backpressure on a full admission queue, pipelined in-order
  * delivery, slow-client shedding, streamed telemetry frames, engine
  * shards, work-conserving shard workers, engine eviction under
- * concurrency, and shutdown draining admitted work.
+ * concurrency, shutdown draining admitted work, and run_trace over
+ * binary and text trace files.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,9 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +26,11 @@
 #include "common/net.hh"
 #include "model/profile.hh"
 #include "serve/server.hh"
+#include "sim/experiment.hh"
+#include "sim/policies.hh"
+#include "sim/system.hh"
+#include "trace/trace_io.hh"
+#include "trace/workloads.hh"
 
 namespace nucache
 {
@@ -828,6 +837,121 @@ TEST_F(ServeTest, NewRunsRejectedWhileShuttingDown)
         }
     }
     server->join();
+}
+
+/** A fresh directory under the system temp dir, removed on scope exit. */
+struct TempDir
+{
+    TempDir()
+    {
+        std::string tmpl =
+            (std::filesystem::temp_directory_path() / "nucache-XXXXXX")
+                .string();
+        EXPECT_NE(::mkdtemp(tmpl.data()), nullptr);
+        path = tmpl;
+    }
+
+    ~TempDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path, ec);
+    }
+
+    std::string file(const std::string &name) const
+    {
+        return (path / name).string();
+    }
+
+    std::filesystem::path path;
+};
+
+/** @return the service's answer to run_trace over @p paths. */
+Json
+runTrace(serve::SimulationService &svc,
+         const std::vector<std::string> &paths)
+{
+    Json traces = Json::array();
+    for (const std::string &p : paths)
+        traces.push(p);
+    Json params = Json::object();
+    params["traces"] = std::move(traces);
+    Json line = Json::object();
+    line["op"] = "run_trace";
+    line["params"] = std::move(params);
+    serve::Request req;
+    std::string err;
+    EXPECT_TRUE(serve::parseRequest(line.str(0), req, err)) << err;
+    Json response;
+    svc.executeBatch({req}, [&](std::size_t, Json r) {
+        response = std::move(r);
+    });
+    return response;
+}
+
+TEST(ServiceRunTrace, BinaryAndTextFilesAnswerLikeADirectRun)
+{
+    const std::vector<std::vector<TraceRecord>> recs = {
+        workloadRecords("echo_near", 3'000),
+        workloadRecords("loop_medium", 2'500)};
+    TempDir dir;
+    std::vector<std::string> bin, text;
+    for (std::size_t c = 0; c < recs.size(); ++c) {
+        bin.push_back(dir.file("core" + std::to_string(c) + ".nutrace"));
+        text.push_back(dir.file("core" + std::to_string(c) + ".txt"));
+        std::ofstream b(bin.back(), std::ios::binary);
+        writeBinaryTrace(b, recs[c]);
+        std::ofstream t(text.back());
+        writeTextTrace(t, recs[c]);
+    }
+
+    serve::SimulationService svc(serve::ServiceConfig{});
+    const Json fromBin = runTrace(svc, bin);
+    const Json fromText = runTrace(svc, text);
+    ASSERT_TRUE(fromBin.at("ok").asBool()) << fromBin.str(0);
+    ASSERT_TRUE(fromText.at("ok").asBool()) << fromText.str(0);
+
+    // The default window is the shorter trace.
+    std::vector<TraceSourcePtr> traces;
+    for (const auto &r : recs)
+        traces.push_back(std::make_unique<TraceSource>("direct", r));
+    System sys(defaultHierarchy(2), makePolicy("nucache"),
+               std::move(traces), 2'500);
+    const SystemResult direct = sys.run();
+    const std::string directStats = sys.statsJson().str(0);
+
+    for (const Json *doc : {&fromBin, &fromText}) {
+        const Json &result = doc->at("result");
+        EXPECT_EQ(result.at("records_per_core").asUint(), 2'500u);
+        EXPECT_EQ(result.at("stats").str(0), directStats);
+        EXPECT_EQ(result.at("llc_writebacks").asUint(),
+                  direct.llcWritebacks);
+        EXPECT_EQ(result.at("dram_reads").asUint(), direct.dramReads);
+        const Json &cores = result.at("cores");
+        ASSERT_EQ(cores.size(), 2u);
+        for (std::size_t c = 0; c < 2; ++c) {
+            EXPECT_EQ(cores.at(c).at("ipc").asDouble(),
+                      direct.cores[c].ipc);
+            EXPECT_EQ(cores.at(c).at("llc_misses").asUint(),
+                      direct.cores[c].llc.misses);
+        }
+    }
+}
+
+TEST(ServiceRunTrace, MissingAndEmptyFilesAreBadRequests)
+{
+    TempDir dir;
+    const std::string empty = dir.file("empty.nutrace");
+    std::ofstream(empty).close();
+
+    serve::SimulationService svc(serve::ServiceConfig{});
+    for (const std::string &path : {dir.file("missing.nutrace"), empty}) {
+        const Json doc = runTrace(svc, {path});
+        ASSERT_FALSE(doc.at("ok").asBool()) << path;
+        EXPECT_EQ(doc.at("error").at("code").asString(), "bad_request");
+        EXPECT_NE(doc.at("error").at("message").asString().find(path),
+                  std::string::npos)
+            << doc.str(0);
+    }
 }
 
 } // anonymous namespace

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the shared trace arena: cursor streams must be
- * record-for-record identical to the generators they replace
- * (including after reset()), and materialization must happen exactly
+ * record-for-record identical to an uncached makeWorkload() of the
+ * same name, synthetic or attack:* (including after reset()), and materialization must happen exactly
  * once per (workload, length) key no matter how many threads — or
  * RunEngine grid jobs — ask for it concurrently.
  */
@@ -45,15 +45,16 @@ expectSameStream(TraceSource &a, TraceSource &b,
 }
 
 /**
- * An arena cursor replays exactly the stream of the generator it
- * replaces, and reset() rewinds it to the identical stream again
+ * An arena cursor replays exactly the stream of an uncached
+ * makeWorkload(), and reset() rewinds it to the identical stream again
  * (the wrap-around methodology relies on both).
  */
 TEST(TraceArena, CursorMatchesGeneratorIncludingReset)
 {
     constexpr std::uint64_t kLen = 30000;
-    const std::vector<std::string> names = {"zipf_hot", "stream_pure",
-                                            "chase_big", "mix_rw"};
+    const std::vector<std::string> names = {
+        "zipf_hot", "stream_pure", "chase_big", "mix_rw",
+        "attack:evset", "attack:storm:def=rand"};
     for (const std::string &name : names) {
         const TraceSourcePtr gen = makeWorkload(name, kLen);
         const TraceSourcePtr cur =

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the binary/text trace formats and the vector trace source.
+ * Tests for the binary/text trace formats and the trace cursor.
  */
 
 #include <gtest/gtest.h>
@@ -209,10 +209,10 @@ TEST(TraceIoDeathTest, TextWriteFailureIsFatal)
                 ::testing::ExitedWithCode(1), "trace write failed");
 }
 
-TEST(VectorTraceSource, ReplaysAndResets)
+TEST(TraceSource, ReplaysAndResets)
 {
-    VectorTraceSource src("t", sampleRecords());
-    EXPECT_EQ(src.size(), 17u);
+    TraceSource src("t", sampleRecords());
+    EXPECT_EQ(src.records().size(), 17u);
     TraceRecord rec;
     std::size_t n = 0;
     while (src.next(rec))
@@ -224,9 +224,9 @@ TEST(VectorTraceSource, ReplaysAndResets)
     EXPECT_EQ(rec.pc, 0x400000u);
 }
 
-TEST(VectorTraceSource, NameIsPreserved)
+TEST(TraceSource, NameIsPreserved)
 {
-    VectorTraceSource src("my-trace", {});
+    TraceSource src("my-trace", std::vector<TraceRecord>{});
     EXPECT_EQ(src.name(), "my-trace");
 }
 

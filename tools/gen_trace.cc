@@ -44,12 +44,7 @@ main(int argc, char **argv)
     if (!isWorkloadName(workload))
         fatal("unknown workload '", workload, "' (try --list)");
 
-    auto src = makeWorkload(workload, records);
-    std::vector<TraceRecord> recs;
-    recs.reserve(records);
-    TraceRecord rec;
-    while (src->next(rec))
-        recs.push_back(rec);
+    const std::vector<TraceRecord> recs = workloadRecords(workload, records);
 
     std::ofstream os(out_path, std::ios::binary);
     if (!os)

@@ -1,6 +1,7 @@
 /**
  * @file
- * run_trace: replay one or more NUTRACE1 files through the multicore
+ * run_trace: replay one or more trace files (binary NUTRACE1 or the
+ * "pc addr gap r|w" text form) through the multicore
  * hierarchy under any policy and report per-core statistics — the
  * entry point for evaluating NUcache on real captured traces instead
  * of the synthetic catalog.
@@ -27,6 +28,7 @@
  * not simulate the mix).
  */
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 
@@ -67,19 +69,12 @@ main(int argc, char **argv)
     std::vector<TraceSourcePtr> traces;
     std::uint64_t shortest = ~std::uint64_t{0};
     for (const auto &path : args.positional()) {
-        auto src = loadTraceFile(path);
-        // VectorTraceSource: size known; use the shortest trace as the
-        // default measurement window.
-        const auto *vec =
-            dynamic_cast<const VectorTraceSource *>(src.get());
-        if (vec != nullptr && vec->size() < shortest)
-            shortest = vec->size();
-        traces.push_back(std::move(src));
+        traces.push_back(loadTraceFile(path));
+        // The shortest trace is the default measurement window.
+        shortest = std::min<std::uint64_t>(shortest,
+                                           traces.back()->records().size());
     }
-    const std::uint64_t records =
-        args.getInt("records", shortest == ~std::uint64_t{0}
-                                   ? 1'000'000
-                                   : shortest);
+    const std::uint64_t records = args.getInt("records", shortest);
 
     HierarchyConfig hier = defaultHierarchy(cores);
     if (args.has("llc-kib") || args.has("llc-ways")) {
