@@ -110,21 +110,6 @@ parseOptions(const CliArgs &args, std::uint64_t dflt_records)
     return opt;
 }
 
-/** @return where the telemetry document of @p json_path goes. */
-inline std::string
-telemetryPathFor(const std::string &json_path)
-{
-    if (json_path.empty())
-        return "telemetry.json";
-    std::string p = json_path;
-    const std::string ext = ".json";
-    if (p.size() > ext.size() &&
-        p.compare(p.size() - ext.size(), ext.size(), ext) == 0) {
-        p.resize(p.size() - ext.size());
-    }
-    return p + "_telemetry.json";
-}
-
 /**
  * End-of-run observability teardown: drain the TelemetryHub into the
  * `nucache-telemetry/v1` document alongside the bench JSON, and stop
@@ -136,7 +121,7 @@ finishObservability(const BenchOptions &opt)
 {
     if (opt.telemetry != 0) {
         Json doc = obs::TelemetryHub::instance().drainJson();
-        const std::string path = telemetryPathFor(opt.jsonPath);
+        const std::string path = obs::telemetryPathFor(opt.jsonPath);
         std::ofstream os(path);
         if (!os)
             fatal("cannot write telemetry to '", path, "'");

@@ -7,6 +7,7 @@
 #include "common/logging.hh"
 #include "policy/ucp.hh"
 #include "sim/metrics.hh"
+#include "sim/policies.hh"
 
 namespace nucache::model
 {
@@ -46,8 +47,10 @@ bool
 resolveFamily(const std::string &spec, FamilySpec &out,
               std::string &err)
 {
-    const auto colon = spec.find(':');
-    const std::string name = spec.substr(0, colon);
+    PolicySpec parsed;
+    if (!parsePolicySpec(spec, parsed, err))
+        return false;
+    const std::string &name = parsed.name;
     if (name == "lru") {
         out.family = PolicyFamily::Lru;
     } else if (name == "nru") {
@@ -60,31 +63,16 @@ resolveFamily(const std::string &spec, FamilySpec &out,
                name == "nucache-all" || name == "nucache-none") {
         out.family = PolicyFamily::NUcache;
         out.deliAdmission = name != "nucache-none";
+        // Honour the d= DeliWays override; every other option tunes
+        // monitoring detail the model does not resolve.
+        if (const auto d = parsed.options.find("d");
+            d != parsed.options.end())
+            out.deliWays = static_cast<std::uint32_t>(d->second);
     } else {
         err = "policy family '" + name +
               "' is outside the estimate tier (modeled: lru, nru, "
               "ucp, pipp, nucache*)";
         return false;
-    }
-    if (colon != std::string::npos &&
-        out.family == PolicyFamily::NUcache) {
-        // Honour the d= DeliWays override; every other option tunes
-        // monitoring detail the model does not resolve.
-        std::string rest = spec.substr(colon + 1);
-        std::size_t pos = 0;
-        while (pos < rest.size()) {
-            const std::size_t comma = rest.find(',', pos);
-            const std::string opt =
-                rest.substr(pos, comma == std::string::npos
-                                     ? std::string::npos
-                                     : comma - pos);
-            if (opt.rfind("d=", 0) == 0)
-                out.deliWays = static_cast<std::uint32_t>(
-                    std::strtoul(opt.c_str() + 2, nullptr, 10));
-            if (comma == std::string::npos)
-                break;
-            pos = comma + 1;
-        }
     }
     return true;
 }

@@ -74,8 +74,7 @@ runPass(const std::string &label, TraceSourcePtr trace,
 
     // Reuse-distance collection: Fenwick tree over last-touch
     // timestamps of the LLC demand stream.  The observer fires in the
-    // exact serial access order under every engine (the sharded merge
-    // thread replays the interleave), which is what keeps exported
+    // System's serial access order, which is what keeps exported
     // profiles byte-identical across execution shapes.
     Cache &llc = sys.hierarchy().llc();
     Fenwick marks(records + 1);

@@ -1,12 +1,17 @@
 /**
  * @file
- * Process-wide switches for the observability layer (src/obs/).
+ * Batch telemetry mode, the process-wide switch of the observability
+ * layer (src/obs/).
  *
- * Mirrors check/check_mode.hh: telemetry sampling and event tracing
- * are off by default and enabled per run from the `--telemetry` /
- * `--trace-out` flags of the engine-driven binaries.  The simulation
- * code only ever pays a branch on a cached bool when they are off
- * (the same observer-gating pattern the check layer uses).
+ * Mirrors check/check_mode.hh: off by default and raised by the
+ * `--telemetry` flag of the benches and run_trace (and by tests).
+ * While it is on, every System that is not given its own interval
+ * samples at this one and also publishes its series to the
+ * TelemetryHub.  A caller that wants one run's series passes the
+ * interval to that System or RunEngine::runMix instead and reads the
+ * series from the result; nucached works that way and never sets
+ * this mode.  With telemetry off the run loop pays one null-pointer
+ * branch per record.
  */
 
 #ifndef NUCACHE_OBS_OBS_MODE_HH
@@ -21,12 +26,13 @@ namespace nucache::obs
 constexpr std::uint64_t kDefaultTelemetryInterval = 50'000;
 
 /**
- * @return the LLC-access sampling stride; 0 means telemetry is off
- * and new Systems attach no sampler at all.
+ * @return the batch-mode sampling stride; 0 means batch telemetry is
+ * off, so Systems left on the default attach no sampler and nothing
+ * is published to the TelemetryHub.
  */
 std::uint64_t telemetryInterval();
 
-/** Set the sampling stride (0 disables; from --telemetry[=interval]). */
+/** Set the batch-mode stride (0 disables; from --telemetry[=interval]). */
 void setTelemetryInterval(std::uint64_t interval);
 
 } // namespace nucache::obs

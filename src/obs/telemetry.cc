@@ -73,6 +73,29 @@ Sampler::series(std::string label) const
     return out;
 }
 
+Json
+telemetryDocument(Json series)
+{
+    Json doc = Json::object();
+    doc["schema"] = "nucache-telemetry/v1";
+    doc["series"] = std::move(series);
+    return doc;
+}
+
+std::string
+telemetryPathFor(const std::string &json_path)
+{
+    if (json_path.empty())
+        return "telemetry.json";
+    std::string p = json_path;
+    const std::string ext = ".json";
+    if (p.size() > ext.size() &&
+        p.compare(p.size() - ext.size(), ext.size(), ext) == 0) {
+        p.resize(p.size() - ext.size());
+    }
+    return p + "_telemetry.json";
+}
+
 TelemetryHub &
 TelemetryHub::instance()
 {
@@ -98,8 +121,6 @@ Json
 TelemetryHub::drainJson()
 {
     std::lock_guard<std::mutex> lock(mtx);
-    Json doc = Json::object();
-    doc["schema"] = "nucache-telemetry/v1";
     Json series = Json::array();
     for (auto it = held.begin(); it != held.end(); ++it) {
         const std::string &label = it->first.first;
@@ -112,9 +133,8 @@ TelemetryHub::drainJson()
             s["label"] = label + " [" + it->first.second + "]";
         series.push(std::move(s));
     }
-    doc["series"] = std::move(series);
     held.clear();
-    return doc;
+    return telemetryDocument(std::move(series));
 }
 
 void

@@ -11,11 +11,16 @@
  * are keyed by LLC access count (not wall-clock), the series of a run
  * is bit-identical at every --jobs width.
  *
- * Finished series are published to the process-wide TelemetryHub,
- * which the bench layer drains into a `nucache-telemetry/v1` JSON
- * document alongside the regular bench JSON.  The hub keys series by
- * label and hierarchy variant and emits them in sorted order, so the
- * file is deterministic no matter which worker thread finished first.
+ * A finished series is part of its run's result (SystemResult), so a
+ * caller that asked for sampling reads its own series back and
+ * touches no shared state; the server renders a request's document
+ * that way.  Batch mode (`--telemetry` on the benches and run_trace,
+ * obs/obs_mode.hh) additionally collects every series into the
+ * process-wide TelemetryHub, which the bench layer drains into a
+ * `nucache-telemetry/v1` JSON document alongside the regular bench
+ * JSON.  The hub keys series by label and hierarchy variant and emits
+ * them in sorted order, so the file is deterministic no matter which
+ * worker thread finished first.
  */
 
 #ifndef NUCACHE_OBS_TELEMETRY_HH
@@ -118,9 +123,23 @@ class Sampler
 };
 
 /**
+ * @return a `nucache-telemetry/v1` document whose "series" member is
+ * @p series (an array of TelemetrySeries::toJson entries).
+ */
+Json telemetryDocument(Json series);
+
+/**
+ * @return where the telemetry document of a run whose JSON results go
+ * to @p json_path is written: "<stem>_telemetry.json" beside it, or
+ * "telemetry.json" when @p json_path is empty.
+ */
+std::string telemetryPathFor(const std::string &json_path);
+
+/**
  * Process-wide collection point for finished series (one per System
- * run with telemetry on).  Thread-safe; keyed by (label, variant) so
- * the drain order — and therefore the dumped JSON — is deterministic.
+ * run while batch telemetry mode is on).  Thread-safe; keyed by
+ * (label, variant) so the drain order — and therefore the dumped
+ * JSON — is deterministic.
  */
 class TelemetryHub
 {

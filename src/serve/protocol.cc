@@ -84,8 +84,6 @@ parseRunParams(const Json &params, Request &out, std::string &err)
         }
         out.policy = policy->asString();
     }
-    if (!validatePolicySpec(out.policy, err))
-        return false;
 
     bool present = false;
     if (!readUint(params, "records", out.records, present, err))
@@ -131,6 +129,16 @@ parseRunParams(const Json &params, Request &out, std::string &err)
         // default key share one cache entry.
         out.llcDefense = cfg.enabled() ? cfg.spec() : "";
     }
+
+    // The final geometry and the policy on it must pass the checks
+    // Cache's and the policies' constructors enforce with fatal();
+    // reject here instead.
+    const HierarchyConfig hier = requestHierarchy(out);
+    PolicySpec spec;
+    if (!validGeometry(hier, err) ||
+        !parsePolicySpec(out.policy, spec, err, hier.llc.ways,
+                         hier.numCores))
+        return false;
 
     const Json *telemetry = params.find("telemetry");
     if (telemetry != nullptr) {
@@ -205,10 +213,7 @@ parseRunParams(const Json &params, Request &out, std::string &err)
         if (!model::estimateSupported(out.policy, err))
             return false;
     }
-
-    // The final geometry must satisfy the constraints Cache's
-    // constructor enforces with fatal(); reject here instead.
-    return validGeometry(requestHierarchy(out), err);
+    return true;
 }
 
 bool

@@ -28,7 +28,8 @@
  *                  plus optional "policy" (spec grammar of
  *                  sim/policies.hh, default "nucache"), "records",
  *                  "llc_kib", "llc_ways", "telemetry" (sampling
- *                  stride; attaches the nucache-telemetry/v1 doc),
+ *                  stride; attaches a nucache-telemetry/v1 doc
+ *                  holding the mix run's one series),
  *                  "stream" (with telemetry: deliver the run as
  *                  incremental frames, see below), "no_cache" (skip
  *                  the server's result cache), "llc_defense" (the
@@ -62,9 +63,8 @@
  * sequence of frames that may interleave with other responses on
  * the connection — correlate by "id".  Each frame carries
  *   "stream": {"seq": K, "last": false}
- * Frame 0 holds the run "result" (without telemetry), the following
- * frames each carry a "telemetry" chunk (a nucache-telemetry/v1
- * document holding a subset of the series), and the final frame has
+ * Frame 0 holds the run "result" (without telemetry), frame 1 the
+ * "telemetry" document, and the final frame has
  * "last": true and no payload.  Streaming is what keeps a multi-MB
  * telemetry run from head-of-line-blocking cheap control ops queued
  * behind it on the same connection.
@@ -209,7 +209,7 @@ std::size_t shardOf(const Request &req, std::uint64_t default_records,
 /**
  * @return one streaming frame envelope for @p req: `ok` true plus a
  * "stream" object with @p seq and @p last.  The caller attaches the
- * payload ("result" on frame 0, "telemetry" on chunk frames; the
+ * payload ("result" on frame 0, "telemetry" on frame 1; the
  * last frame carries none).
  */
 Json streamFrame(const Request &req, std::uint64_t seq, bool last);

@@ -147,8 +147,13 @@ void
 Server::requestShutdown()
 {
     stopping.store(true, std::memory_order_release);
-    for (auto &shard : shards)
+    for (auto &shard : shards) {
+        // Notifying under the shard mutex: a worker that checked its
+        // predicate before the store is already waiting by now, so
+        // the wake-up cannot be lost.
+        std::lock_guard<std::mutex> lock(shard->mtx);
         shard->cv.notify_all();
+    }
     wake.notify();
 }
 
@@ -614,18 +619,9 @@ Server::handleLine(std::uint64_t conn_id, Connection &conn,
 void
 Server::workerLoop(Shard &shard)
 {
-    // A telemetry run must start with nothing else running on the
-    // shard, and nothing else may start until it ends.  Popping only
-    // from the head keeps admission order and lets a waiting telemetry
-    // run hold back the requests behind it, so a steady stream of
-    // ordinary runs cannot starve it.
     auto ready = [&] {
-        if (shard.queue.empty())
-            return stopping.load(std::memory_order_acquire);
-        if (shard.exclusive)
-            return false;
-        return shard.running == 0 ||
-               shard.queue.front().req.telemetry == 0;
+        return !shard.queue.empty() ||
+               stopping.load(std::memory_order_acquire);
     };
     while (true) {
         Pending p;
@@ -644,7 +640,6 @@ Server::workerLoop(Shard &shard)
             p = std::move(shard.queue.front());
             shard.queue.pop_front();
             ++shard.running;
-            shard.exclusive = p.req.telemetry != 0;
         }
         shard.metrics.dispatched.fetch_add(1, std::memory_order_relaxed);
 
@@ -674,17 +669,8 @@ Server::workerLoop(Shard &shard)
                 });
         }
 
-        bool wakeAll = false;
-        {
-            std::lock_guard<std::mutex> lock(shard.mtx);
-            --shard.running;
-            wakeAll = shard.exclusive || shard.running == 0;
-            shard.exclusive = false;
-        }
-        // Only the end of a telemetry run or an idle shard can make a
-        // held-back head runnable.
-        if (wakeAll)
-            shard.cv.notify_all();
+        std::lock_guard<std::mutex> lock(shard.mtx);
+        --shard.running;
     }
 }
 

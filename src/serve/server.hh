@@ -22,9 +22,8 @@
  *    shard's SimulationService (own memoized RunEngines, own result
  *    cache), and emits the response into the connection's response
  *    slot.  No request waits behind another's simulation while a
- *    worker is free.  A telemetry run is exclusive: once it reaches
- *    the head of the queue, the shard's workers pop nothing else
- *    until it has started alone and finished.  Requests hash to
+ *    worker is free; telemetry runs included, since a run's
+ *    telemetry series is part of its own result.  Requests hash to
  *    shards by measurement window, so a window's warm engine is
  *    always reused.
  *
@@ -257,8 +256,6 @@ class Server
         std::deque<Pending> queue;
         /** Requests popped and not yet finished (guarded by mtx). */
         std::size_t running = 0;
-        /** A telemetry run is executing (guarded by mtx). */
-        bool exclusive = false;
         /** Stopping, the queue empty and no request running. */
         std::atomic<bool> drained{false};
         /** Queue depth high-water, dispatch counters, per-shard

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <shared_mutex>
 
 #include "check/check_mode.hh"
 #include "model/predictor.hh"
 #include "model/profile.hh"
-#include "obs/obs_mode.hh"
 #include "obs/telemetry.hh"
 #include "sim/policies.hh"
 #include "trace/arena.hh"
@@ -23,76 +20,11 @@ namespace
 using Clock = std::chrono::steady_clock;
 
 /**
- * A reader/writer lock that prefers writers: once a writer waits, no
- * new reader enters.  std::shared_mutex on glibc prefers readers, so
- * shard workers whose ordinary runs overlap could hold it shared
- * without a gap and starve a telemetry run forever.
- */
-class WriterFirstGate
-{
-  public:
-    void
-    lock_shared()
-    {
-        std::unique_lock<std::mutex> lock(mtx);
-        cv.wait(lock, [&] { return writers == 0; });
-        ++readers;
-    }
-
-    void
-    unlock_shared()
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        if (--readers == 0)
-            cv.notify_all();
-    }
-
-    void
-    lock()
-    {
-        std::unique_lock<std::mutex> lock(mtx);
-        ++writers;
-        cv.wait(lock, [&] { return !writing && readers == 0; });
-        writing = true;
-    }
-
-    void
-    unlock()
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        writing = false;
-        --writers;
-        cv.notify_all();
-    }
-
-  private:
-    std::mutex mtx;
-    std::condition_variable cv;
-    unsigned readers = 0;
-    /** Writers waiting or holding the gate. */
-    unsigned writers = 0;
-    bool writing = false;
-};
-
-/**
- * Process-wide telemetry gate.  Telemetry runs mutate process-wide
- * observer state (obs::setTelemetryInterval and the TelemetryHub),
- * so with shard workers running requests concurrently a telemetry
- * run must exclude *every* other simulation, not just its own
- * shard's: ordinary runs hold this shared, telemetry runs hold it
- * exclusively.
- */
-WriterFirstGate gTelemetryGate;
-
-/**
  * Distinct measurement windows kept warm at once.  Each window gets
  * its own RunEngine (the engine's run-alone cache is keyed per
  * engine); the least recently used engine beyond the cap is dropped.
  */
 constexpr std::size_t kMaxEngines = 4;
-
-/** Serialized-size budget of one streamed telemetry frame. */
-constexpr std::size_t kStreamChunkBytes = 256 * 1024;
 
 /** @return elapsed ms since @p start. */
 double
@@ -290,10 +222,17 @@ SimulationService::cacheStore(const std::string &key, const Json &result)
 }
 
 Json
-SimulationService::runMixResult(RunEngine &engine, const Request &req)
+SimulationService::runMixResult(RunEngine &engine, const Request &req,
+                                Json &telemetry)
 {
     const HierarchyConfig hier = requestHierarchy(req);
-    const MixResult res = engine.runMix(req.mix, req.policy, hier);
+    const MixResult res =
+        engine.runMix(req.mix, req.policy, hier, req.telemetry);
+    if (res.system.telemetry) {
+        Json series = Json::array();
+        series.push(res.system.telemetry->toJson());
+        telemetry = obs::telemetryDocument(std::move(series));
+    }
     return mixResultJson(res, engine.recordsPerCore(), hier);
 }
 
@@ -402,87 +341,58 @@ SimulationService::executeBatch(const std::vector<Request> &batch,
         const Clock::time_point start = Clock::now();
         const std::uint64_t records =
             req.records != 0 ? req.records : cfg.defaultRecords;
-        if (req.op == Op::RunMix && req.telemetry == 0) {
+        if (req.op == Op::RunMix) {
             // Estimate tier: the analytical model, building any cold
-            // workload profiles (Systems, hence the shared gate).
-            // Exact tier: a synchronous run on the window's engine.
+            // workload profiles.  Exact tier: a synchronous run on the
+            // window's engine, sampled when the request asks for
+            // telemetry (such requests have no cache key).
             const bool estimate = req.mode == Mode::Estimate;
             {
                 std::lock_guard<std::mutex> lock(mtx);
                 ++stats.runMix;
                 if (estimate)
                     ++stats.estimates;
+                if (req.telemetry != 0)
+                    ++stats.telemetryRuns;
             }
             const std::string key = cacheKey(req, cfg.defaultRecords);
-            Json result;
+            Json result, telemetry;
             if (cacheLookup(key, result)) {
                 attachServerInfo(result, true, 0.0);
                 emit(i, okResponse(req, std::move(result)));
                 continue;
             }
-            {
-                std::shared_lock<WriterFirstGate> gate(
-                    gTelemetryGate);
-                result = estimate
-                             ? estimateResult(req,
-                                              /*build_profiles=*/true)
-                             : runMixResult(*engineFor(records), req);
-            }
+            result = estimate
+                         ? estimateResult(req, /*build_profiles=*/true)
+                         : runMixResult(*engineFor(records), req,
+                                        telemetry);
             cacheStore(key, result);
             attachServerInfo(result, false, msSince(start));
-            emit(i, okResponse(req, std::move(result)));
-            continue;
-        }
-        if (req.op == Op::RunTrace) {
-            {
-                std::lock_guard<std::mutex> lock(mtx);
-                ++stats.runTrace;
-            }
-            std::string err;
-            Json result;
-            {
-                std::shared_lock<WriterFirstGate> gate(
-                    gTelemetryGate);
-                result = runTraceResult(req, err);
-            }
-            if (!err.empty()) {
-                {
-                    std::lock_guard<std::mutex> lock(mtx);
-                    ++stats.failures;
-                }
-                emit(i, errorResponse(req, error::kBadRequest, err));
+            if (req.stream && frame) {
+                emitStream(i, req, std::move(result),
+                           std::move(telemetry), emit, frame);
                 continue;
             }
-            attachServerInfo(result, false, msSince(start));
+            if (req.telemetry != 0)
+                result["telemetry"] = std::move(telemetry);
             emit(i, okResponse(req, std::move(result)));
             continue;
         }
-        // run_mix with telemetry attachment: exclusive execution (the
-        // sampling interval and the TelemetryHub are process-wide, so
-        // nothing else may build Systems while it runs — guaranteed
-        // by the exclusive telemetry gate across every shard).
         {
             std::lock_guard<std::mutex> lock(mtx);
-            ++stats.runMix;
-            ++stats.telemetryRuns;
+            ++stats.runTrace;
         }
-        const std::shared_ptr<RunEngine> engine = engineFor(records);
-        Json result, telemetry;
-        {
-            std::unique_lock<WriterFirstGate> gate(gTelemetryGate);
-            obs::TelemetryHub::instance().clear();
-            obs::setTelemetryInterval(req.telemetry);
-            result = runMixResult(*engine, req);
-            obs::setTelemetryInterval(0);
-            telemetry = obs::TelemetryHub::instance().drainJson();
-        }
-        attachServerInfo(result, false, msSince(start));
-        if (req.stream && frame) {
-            emitStream(i, req, std::move(result), std::move(telemetry),
-                       emit, frame);
+        std::string err;
+        Json result = runTraceResult(req, err);
+        if (!err.empty()) {
+            {
+                std::lock_guard<std::mutex> lock(mtx);
+                ++stats.failures;
+            }
+            emit(i, errorResponse(req, error::kBadRequest, err));
             continue;
         }
-        result["telemetry"] = std::move(telemetry);
+        attachServerInfo(result, false, msSince(start));
         emit(i, okResponse(req, std::move(result)));
     }
 }
@@ -497,36 +407,11 @@ SimulationService::emitStream(std::size_t i, const Request &req,
     head["result"] = std::move(result);
     frame(i, std::move(head));
 
-    // Chunk the telemetry series into bounded frames so no single
-    // response line grows with the run length: each frame carries a
-    // self-contained nucache-telemetry/v1 document holding a slice
-    // of the series.
-    Json pending = Json::array();
-    std::size_t pendingBytes = 0;
-    auto flush = [&] {
-        if (pending.size() == 0)
-            return;
-        Json doc = Json::object();
-        doc["schema"] = "nucache-telemetry/v1";
-        doc["series"] = std::move(pending);
-        Json f = streamFrame(req, seq++, false);
-        f["telemetry"] = std::move(doc);
-        frame(i, std::move(f));
-        pending = Json::array();
-        pendingBytes = 0;
-    };
-    if (const Json *series = telemetry.find("series");
-        series != nullptr && series->isArray()) {
-        for (const Json &s : series->elements()) {
-            const std::size_t bytes = s.str(0).size();
-            if (pending.size() != 0 &&
-                pendingBytes + bytes > kStreamChunkBytes)
-                flush();
-            pending.push(s);
-            pendingBytes += bytes;
-        }
-    }
-    flush();
+    // Frame 1 carries the run's telemetry document; the last frame
+    // closes the stream.
+    Json doc = streamFrame(req, seq++, false);
+    doc["telemetry"] = std::move(telemetry);
+    frame(i, std::move(doc));
     emit(i, streamFrame(req, seq, true));
     {
         std::lock_guard<std::mutex> lock(mtx);

@@ -13,12 +13,11 @@
  * drive it directly.  executeBatch() runs on the calling thread and
  * may be called concurrently on one instance (one call per shard
  * worker); the Server runs one instance per engine shard
- * (`--serve-shards`).  A process-wide reader/writer gate keeps
- * telemetry runs exclusive across every shard: telemetry mutates
- * process-wide observer state (the sampling interval and the
- * TelemetryHub), so a telemetry run takes the gate exclusively while
- * ordinary runs hold it shared.  The stats accessors are
- * thread-safe.
+ * (`--serve-shards`).  A telemetry request's series is part of its
+ * run's result (RunEngine::runMix with the request's interval), so
+ * telemetry runs touch no process-wide state and overlap with any
+ * other run; the memoized run-alone baselines are never sampled for
+ * a request.  The stats accessors are thread-safe.
  */
 
 #ifndef NUCACHE_SERVE_SERVICE_HH
@@ -77,11 +76,12 @@ class SimulationService
     /**
      * Execute admitted requests one after another on the calling
      * thread (the Server's workers pass one each).  Every element
-     * must be a run_mix / run_trace request; telemetry-attaching
-     * run_mix requests run exclusively (see file comment).
-     * Streaming requests deliver their payload through @p frame and
-     * close with a final frame through @p emit (when @p frame is
-     * null they fall back to one monolithic response).  Returns once
+     * must be a run_mix / run_trace request.  A run_mix with
+     * telemetry attaches `{"schema": "nucache-telemetry/v1",
+     * "series": [<the mix run's series>]}`.  Streaming requests
+     * deliver their payload through @p frame and close with a final
+     * frame through @p emit (when @p frame is null they fall back to
+     * one monolithic response).  Returns once
      * every response has been emitted.
      */
     void executeBatch(const std::vector<Request> &batch,
@@ -108,8 +108,7 @@ class SimulationService
      * right here (pure arithmetic, tens of microseconds) and caches
      * the response.  Returns false without blocking when a profile
      * is cold; the worker path then builds it.  Safe on the
-     * event-loop thread: never builds a System, never takes the
-     * telemetry gate.
+     * event-loop thread: never builds a System.
      */
     bool tryEstimate(const Request &req, std::string &result_payload);
 
@@ -128,8 +127,13 @@ class SimulationService
      */
     std::shared_ptr<RunEngine> engineFor(std::uint64_t records);
 
-    /** Execute one run_mix request synchronously on @p engine. */
-    Json runMixResult(RunEngine &engine, const Request &req);
+    /**
+     * Execute one exact run_mix request synchronously on @p engine.
+     * When the request asks for telemetry, @p telemetry receives the
+     * run's nucache-telemetry/v1 document.
+     */
+    Json runMixResult(RunEngine &engine, const Request &req,
+                      Json &telemetry);
 
     /** Execute one run_trace request on the calling thread. */
     Json runTraceResult(const Request &req, std::string &err);
@@ -146,8 +150,8 @@ class SimulationService
     void attachServerInfo(Json &result, bool cached, double wall_ms);
 
     /**
-     * Deliver one finished streaming run as frames: the result,
-     * bounded telemetry chunks, then the final frame through @p emit.
+     * Deliver one finished streaming run as frames: the result, the
+     * telemetry document, then the final frame through @p emit.
      */
     void emitStream(std::size_t i, const Request &req, Json result,
                     Json telemetry, const Emit &emit,

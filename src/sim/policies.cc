@@ -21,45 +21,63 @@ namespace nucache
 namespace
 {
 
-/** Split "name:key=v,key=v" into name and a key/value map. */
-std::pair<std::string, std::map<std::string, std::string>>
-parseSpec(const std::string &spec)
+/** One option a policy accepts, with its valid range. */
+struct OptionRange
 {
-    const auto colon = spec.find(':');
-    std::pair<std::string, std::map<std::string, std::string>> out;
-    out.first = spec.substr(0, colon);
-    if (colon == std::string::npos)
-        return out;
-    std::string rest = spec.substr(colon + 1);
-    std::size_t pos = 0;
-    while (pos < rest.size()) {
-        const auto comma = rest.find(',', pos);
-        const std::string item =
-            rest.substr(pos, comma == std::string::npos ? std::string::npos
-                                                        : comma - pos);
-        const auto eq = item.find('=');
-        if (eq == std::string::npos || eq == 0)
-            fatal("policy spec '", spec, "': bad option '", item, "'");
-        out.second[item.substr(0, eq)] = item.substr(eq + 1);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return out;
+    const char *key;
+    std::uint64_t min;
+    std::uint64_t max;
+};
+
+/** Largest option value: 15 digits, so parsing cannot overflow. */
+constexpr std::uint64_t kMaxOptionValue = 999'999'999'999'999;
+
+/** Cap on NUcache's per-core monitor and selection table sizes. */
+constexpr std::uint64_t kMaxTableEntries = 1 << 16;
+
+/** @return the options policy @p name accepts; null if unknown. */
+const std::vector<OptionRange> *
+optionsOf(const std::string &name)
+{
+    static const std::vector<OptionRange> none;
+    static const std::vector<OptionRange> nucache = {
+        {"d", 0, 63},
+        {"epoch", 1, kMaxOptionValue},
+        {"topk", 0, kMaxTableEntries},
+        {"pool", 0, kMaxTableEntries},
+        {"maxsel", 0, kMaxTableEntries},
+        {"board", 1, kMaxTableEntries},
+        {"shift", 0, 31},
+    };
+    static const std::vector<OptionRange> epoch = {
+        {"epoch", 1, kMaxOptionValue}};
+    static const std::vector<OptionRange> ship = {{"shct", 1, 24}};
+    static const std::vector<OptionRange> hawkeye = {{"shift", 0, 31}};
+
+    const auto &names = allPolicyNames();
+    if (std::find(names.begin(), names.end(), name) == names.end())
+        return nullptr;
+    if (name.rfind("nucache", 0) == 0)
+        return &nucache;
+    if (name == "ucp" || name == "pipp")
+        return &epoch;
+    if (name == "ship")
+        return &ship;
+    if (name == "hawkeye")
+        return &hawkeye;
+    return &none;
 }
 
 std::uint64_t
-intOpt(const std::map<std::string, std::string> &opts,
+intOpt(const std::map<std::string, std::uint64_t> &opts,
        const std::string &key, std::uint64_t def)
 {
     const auto it = opts.find(key);
-    if (it == opts.end())
-        return def;
-    return std::stoull(it->second);
+    return it == opts.end() ? def : it->second;
 }
 
 NUcacheConfig
-nucacheConfigFrom(const std::map<std::string, std::string> &opts,
+nucacheConfigFrom(const std::map<std::string, std::uint64_t> &opts,
                   NUcacheConfig::Selection mode)
 {
     NUcacheConfig cfg;
@@ -81,10 +99,83 @@ nucacheConfigFrom(const std::map<std::string, std::string> &opts,
 
 } // anonymous namespace
 
+bool
+parsePolicySpec(const std::string &spec, PolicySpec &out,
+                std::string &err, std::uint32_t llc_ways,
+                std::uint32_t cores)
+{
+    const auto colon = spec.find(':');
+    out = PolicySpec{};
+    out.name = spec.substr(0, colon);
+    const std::vector<OptionRange> *ranges = optionsOf(out.name);
+    if (ranges == nullptr) {
+        err = "unknown policy '" + out.name + "'";
+        return false;
+    }
+    const auto fail = [&](const std::string &what) {
+        err = "policy spec '" + spec + "': " + what;
+        return false;
+    };
+
+    const std::string rest =
+        colon == std::string::npos ? std::string() : spec.substr(colon + 1);
+    for (std::size_t pos = 0; colon != std::string::npos;) {
+        const auto comma = rest.find(',', pos);
+        const std::string item =
+            rest.substr(pos, comma == std::string::npos ? std::string::npos
+                                                        : comma - pos);
+        const auto eq = item.find('=');
+        if (eq == std::string::npos || eq == 0)
+            return fail("bad option '" + item + "'");
+        const std::string key = item.substr(0, eq);
+        const std::string value = item.substr(eq + 1);
+        const auto range =
+            std::find_if(ranges->begin(), ranges->end(),
+                         [&](const OptionRange &r) { return key == r.key; });
+        if (range == ranges->end())
+            return fail("unknown option '" + key + "' for " + out.name);
+        // Digits only, and short enough that std::stoull cannot throw.
+        if (value.empty() || value.size() > 15 ||
+            value.find_first_not_of("0123456789") != std::string::npos)
+            return fail("bad value '" + value + "'");
+        const std::uint64_t v = std::stoull(value);
+        if (v < range->min || v > range->max) {
+            return fail(key + "=" + value + " is outside [" +
+                        std::to_string(range->min) + ", " +
+                        std::to_string(range->max) + "]");
+        }
+        out.options[key] = v;
+        if (comma == std::string::npos)
+            break;
+        pos = comma + 1;
+    }
+
+    // The constructors' geometry checks, when the geometry is known.
+    if (llc_ways == 0 || cores == 0)
+        return true;
+    if ((out.name == "ucp" || out.name == "pipp") && llc_ways < cores) {
+        return fail("needs at least one LLC way per core (" +
+                    std::to_string(llc_ways) + " ways, " +
+                    std::to_string(cores) + " cores)");
+    }
+    if (const std::uint64_t d = intOpt(out.options, "d", 0);
+        d >= llc_ways) {
+        return fail("d=" + std::to_string(d) +
+                    " DeliWays leaves no MainWays in a " +
+                    std::to_string(llc_ways) + "-way LLC");
+    }
+    return true;
+}
+
 std::unique_ptr<ReplacementPolicy>
 makePolicy(const std::string &spec)
 {
-    const auto [name, opts] = parseSpec(spec);
+    PolicySpec parsed;
+    std::string err;
+    if (!parsePolicySpec(spec, parsed, err))
+        fatal(err);
+    const std::string &name = parsed.name;
+    const auto &opts = parsed.options;
 
     if (name == "lru")
         return std::make_unique<LruPolicy>();
@@ -151,44 +242,6 @@ makePolicy(const std::string &spec)
             nucacheConfigFrom(opts, NUcacheConfig::Selection::None));
     }
     fatal("unknown policy '", name, "'");
-}
-
-bool
-validatePolicySpec(const std::string &spec, std::string &err)
-{
-    const auto colon = spec.find(':');
-    const std::string name = spec.substr(0, colon);
-    const auto &names = allPolicyNames();
-    if (std::find(names.begin(), names.end(), name) == names.end()) {
-        err = "unknown policy '" + name + "'";
-        return false;
-    }
-    if (colon == std::string::npos)
-        return true;
-    const std::string rest = spec.substr(colon + 1);
-    std::size_t pos = 0;
-    while (pos <= rest.size()) {
-        const auto comma = rest.find(',', pos);
-        const std::string item =
-            rest.substr(pos, comma == std::string::npos ? std::string::npos
-                                                        : comma - pos);
-        const auto eq = item.find('=');
-        if (eq == std::string::npos || eq == 0) {
-            err = "policy spec '" + spec + "': bad option '" + item + "'";
-            return false;
-        }
-        const std::string value = item.substr(eq + 1);
-        // Digits only, and short enough that std::stoull cannot throw.
-        if (value.empty() || value.size() > 15 ||
-            value.find_first_not_of("0123456789") != std::string::npos) {
-            err = "policy spec '" + spec + "': bad value '" + value + "'";
-            return false;
-        }
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return true;
 }
 
 const std::vector<std::string> &

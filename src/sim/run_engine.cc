@@ -97,7 +97,8 @@ RunEngine::aloneIpc(const std::string &workload,
 
 MixResult
 RunEngine::runMix(const WorkloadMix &mix, const std::string &policy_spec,
-                  const HierarchyConfig &hier)
+                  const HierarchyConfig &hier,
+                  std::uint64_t telemetry_interval)
 {
     if (mix.workloads.size() != hier.numCores)
         fatal("mix '", mix.name, "' has ", mix.workloads.size(),
@@ -116,7 +117,7 @@ RunEngine::runMix(const WorkloadMix &mix, const std::string &policy_spec,
         traces.push_back(TraceArena::instance().open(w));
 
     System sys(hier, makePolicy(policy_spec), std::move(traces), records,
-               checkFlag);
+               checkFlag, telemetry_interval);
     sys.setTelemetryLabel(mix.name + "/" + policy_spec,
                           hierarchyKey(hier));
 

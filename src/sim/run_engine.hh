@@ -106,10 +106,17 @@ class RunEngine
      * Run one mix under one policy on the calling thread; fills every
      * derived metric.  The serve layer's shard workers call this
      * concurrently on one engine, sharing its run-alone IPC cache.
+     * @param telemetry_interval sampling stride of the mix run, whose
+     *        series comes back in the result's `system.telemetry`
+     *        (0 = none); defaults to the batch mode (--telemetry).
+     *        The memoized run-alone baselines are shared work: they
+     *        sample only under the batch mode, never for one call.
      */
     MixResult runMix(const WorkloadMix &mix,
                      const std::string &policy_spec,
-                     const HierarchyConfig &hier);
+                     const HierarchyConfig &hier,
+                     std::uint64_t telemetry_interval =
+                         obs::telemetryInterval());
 
     /**
      * Run one workload alone under an arbitrary policy (single-core

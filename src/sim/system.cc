@@ -4,7 +4,6 @@
 
 #include "common/logging.hh"
 #include "core/nucache.hh"
-#include "obs/obs_mode.hh"
 #include "policy/dip.hh"
 
 namespace nucache
@@ -14,7 +13,8 @@ System::System(const HierarchyConfig &hier_config,
                std::unique_ptr<ReplacementPolicy> llc_policy,
                std::vector<TraceSourcePtr> traces,
                std::uint64_t records_per_core,
-               bool check_invariants)
+               bool check_invariants,
+               std::uint64_t telemetry_interval)
 {
     if (traces.size() != hier_config.numCores)
         fatal("system: ", traces.size(), " traces for ",
@@ -35,10 +35,8 @@ System::System(const HierarchyConfig &hier_config,
         cpus.push_back(std::make_unique<TraceCpu>(
             c, std::move(traces[c]), hier.get(), records_per_core));
     }
-    if (const std::uint64_t interval = obs::telemetryInterval();
-        interval > 0) {
-        setupTelemetry(interval);
-    }
+    if (telemetry_interval > 0)
+        setupTelemetry(telemetry_interval);
 }
 
 void
@@ -207,7 +205,8 @@ System::run()
 
     if (obs::Sampler *smp = sampler.get(); smp) {
         // Final snapshot (unless a stride boundary just took one),
-        // then publish the finished series with the full stats tree.
+        // then return the finished series with the full stats tree;
+        // batch mode also collects it in the hub.
         const std::uint64_t accesses = hier->llc().accessCount();
         if (smp->rows() == 0 || smp->lastAt() != accesses)
             smp->sampleNow(accesses);
@@ -220,10 +219,11 @@ System::run()
                 label += cpus[i]->workloadName();
             }
         }
-        obs::TelemetrySeries series = smp->series(label);
-        series.variant = telemetryVariant;
-        series.finalStats = statsJson();
-        obs::TelemetryHub::instance().publish(std::move(series));
+        result.telemetry = smp->series(label);
+        result.telemetry->variant = telemetryVariant;
+        result.telemetry->finalStats = statsJson();
+        if (obs::telemetryInterval() != 0)
+            obs::TelemetryHub::instance().publish(*result.telemetry);
     }
     return result;
 }

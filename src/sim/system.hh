@@ -5,12 +5,19 @@
  * methodology (each core's statistics freeze once it completes its
  * target record count; it keeps executing to preserve cache pressure
  * until every core has finished measuring).
+ *
+ * A System given a telemetry interval samples its probes every that
+ * many LLC accesses and returns the finished series in its
+ * SystemResult; the interval defaults to the process-wide batch mode
+ * (obs/obs_mode.hh), which also collects the series in the
+ * TelemetryHub.
  */
 
 #ifndef NUCACHE_SIM_SYSTEM_HH
 #define NUCACHE_SIM_SYSTEM_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +25,7 @@
 #include "check/checker.hh"
 #include "common/json.hh"
 #include "mem/hierarchy.hh"
+#include "obs/obs_mode.hh"
 #include "obs/telemetry.hh"
 #include "sim/cpu.hh"
 #include "trace/trace.hh"
@@ -44,6 +52,9 @@ struct SystemResult
     std::uint64_t llcWritebacks = 0;
     std::uint64_t dramReads = 0;
     std::uint64_t dramQueueCycles = 0;
+    /** The sampled series with its final stats; set iff the run had
+     *  a telemetry interval. */
+    std::optional<obs::TelemetrySeries> telemetry;
 };
 
 /** The system. */
@@ -59,12 +70,16 @@ class System
      *        each access is followed by an invariant sweep of the
      *        touched set (and run() ends with a full audit); defaults
      *        to the process-wide check mode (--check, NUCACHE_CHECK).
+     * @param telemetry_interval sample the telemetry probes every this
+     *        many LLC accesses (0 = no sampler); defaults to the
+     *        process-wide batch mode (--telemetry).
      */
     System(const HierarchyConfig &hier_config,
            std::unique_ptr<ReplacementPolicy> llc_policy,
            std::vector<TraceSourcePtr> traces,
            std::uint64_t records_per_core,
-           bool check_invariants = check::enabled());
+           bool check_invariants = check::enabled(),
+           std::uint64_t telemetry_interval = obs::telemetryInterval());
 
     /** Run to completion and @return the results. */
     SystemResult run();
@@ -78,11 +93,11 @@ class System
     Json statsJson() const;
 
     /**
-     * Label the telemetry series this run publishes (e.g.\
+     * Label the telemetry series this run returns (e.g.\
      * "mix03/nucache").  Defaults to "<policy>/<w0>+<w1>+..." when
      * unset.  @p variant names the hierarchy, so runs sharing a label
-     * on different hierarchies stay apart (obs::TelemetrySeries).  No
-     * effect unless telemetry is enabled (see obs/obs_mode.hh).
+     * on different hierarchies stay apart in the TelemetryHub
+     * (obs::TelemetrySeries).  No effect without a telemetry interval.
      */
     void setTelemetryLabel(std::string label, std::string variant = {});
 
@@ -101,7 +116,7 @@ class System
     /** One checker per cache level when checking is on (else empty). */
     std::vector<std::unique_ptr<CacheChecker>> checkers;
     std::vector<std::unique_ptr<TraceCpu>> cpus;
-    /** Present iff telemetry was enabled at construction. */
+    /** Present iff the System was given a telemetry interval. */
     std::unique_ptr<obs::Sampler> sampler;
     std::string telemetryTag;
     std::string telemetryVariant;

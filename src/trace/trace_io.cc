@@ -228,10 +228,10 @@ tryReadTextTrace(std::istream &is)
         std::uint32_t gap = 0;
         ls >> std::hex >> pc >> addr >> std::dec >> gap >> rw;
         if (ls.fail() || (rw != "r" && rw != "w")) {
-            std::ostringstream err;
-            err << "text trace: malformed line " << line_no << ": '"
-                << line << "'";
-            out.error = err.str();
+            // The line number only: the file's content stays out of
+            // the error, which a server may return to its client.
+            out.error =
+                "text trace: malformed line " + std::to_string(line_no);
             out.records.clear();
             return out;
         }

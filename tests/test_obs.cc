@@ -237,6 +237,38 @@ TEST(Telemetry, GoldenNUcacheRun)
     }
 }
 
+TEST(Telemetry, ResultCarriesSeriesWithoutBatchMode)
+{
+    // A System given its own interval returns its series; with batch
+    // mode off nothing reaches the process-wide hub.
+    ASSERT_EQ(obs::telemetryInterval(), 0u);
+    obs::TelemetryHub::instance().clear();
+    std::vector<TraceSourcePtr> traces;
+    traces.push_back(TraceArena::instance().open("small_ws"));
+    System sys(defaultHierarchy(1), makePolicy("nucache"),
+               std::move(traces), 4000, false, 200);
+    sys.setTelemetryLabel("direct/nucache");
+    const SystemResult res = sys.run();
+    EXPECT_EQ(obs::TelemetryHub::instance().size(), 0u);
+
+    ASSERT_TRUE(res.telemetry.has_value());
+    const Json s = res.telemetry->toJson();
+    EXPECT_EQ(s.at("label").asString(), "direct/nucache");
+    EXPECT_EQ(s.at("interval").asUint(), 200u);
+    EXPECT_GE(s.at("rows").asUint(), 2u);
+    EXPECT_NE(s.at("probes").find("nucache.deli_hits"), nullptr);
+    EXPECT_EQ(s.at("final_stats").str(0), sys.statsJson().str(0));
+
+    // The engine's per-call interval samples the mix run only; the
+    // memoized run-alone baselines stay unsampled.
+    RunEngine engine(2000, 1, false);
+    const MixResult mix =
+        engine.runMix(obsMixes()[0], "lru", defaultHierarchy(2), 500);
+    ASSERT_TRUE(mix.system.telemetry.has_value());
+    EXPECT_EQ(mix.system.telemetry->label, "hot+ws/lru");
+    EXPECT_EQ(obs::TelemetryHub::instance().size(), 0u);
+}
+
 TEST(Tracer, DisabledModeIsSilent)
 {
     obs::Tracer &tracer = obs::Tracer::instance();

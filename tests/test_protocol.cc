@@ -355,18 +355,61 @@ TEST(Protocol, ResponseEnvelopesRoundTrip)
 TEST(Protocol, ValidatePolicySpecMatchesFactoryGrammar)
 {
     std::string err;
-    EXPECT_TRUE(validatePolicySpec("nucache", err));
-    EXPECT_TRUE(validatePolicySpec("lru", err));
-    EXPECT_TRUE(validatePolicySpec("nucache:dlimit=4", err));
-    EXPECT_TRUE(validatePolicySpec("nucache:dlimit=4,k=2", err));
+    PolicySpec spec;
+    EXPECT_TRUE(parsePolicySpec("nucache", spec, err)) << err;
+    EXPECT_TRUE(parsePolicySpec("lru", spec, err)) << err;
+    ASSERT_TRUE(parsePolicySpec("nucache:d=4,epoch=5000", spec, err))
+        << err;
+    EXPECT_EQ(spec.name, "nucache");
+    EXPECT_EQ(spec.options.at("d"), 4u);
+    EXPECT_EQ(spec.options.at("epoch"), 5000u);
 
-    EXPECT_FALSE(validatePolicySpec("nope", err));
-    EXPECT_FALSE(validatePolicySpec("nucache:dlimit", err));
-    EXPECT_FALSE(validatePolicySpec("nucache:dlimit=", err));
-    EXPECT_FALSE(validatePolicySpec("nucache:=4", err));
-    EXPECT_FALSE(validatePolicySpec("nucache:dlimit=abc", err));
+    EXPECT_FALSE(parsePolicySpec("nope", spec, err));
+    EXPECT_FALSE(parsePolicySpec("nucache:d", spec, err));
+    EXPECT_FALSE(parsePolicySpec("nucache:d=", spec, err));
+    EXPECT_FALSE(parsePolicySpec("nucache:=4", spec, err));
+    EXPECT_FALSE(parsePolicySpec("nucache:d=abc", spec, err));
     EXPECT_FALSE(
-        validatePolicySpec("nucache:dlimit=12345678901234567", err));
+        parsePolicySpec("nucache:epoch=12345678901234567", spec, err));
+    // Each policy knows its own keys.
+    EXPECT_FALSE(parsePolicySpec("nucache:dlimit=4", spec, err));
+    EXPECT_FALSE(parsePolicySpec("lru:epoch=4", spec, err));
+    // Geometry-dependent values are checked once the LLC is known.
+    EXPECT_TRUE(parsePolicySpec("nucache:d=20", spec, err));
+    EXPECT_FALSE(parsePolicySpec("nucache:d=20", spec, err, 16, 2));
+    EXPECT_TRUE(parsePolicySpec("ucp", spec, err, 4, 4)) << err;
+    EXPECT_FALSE(parsePolicySpec("ucp", spec, err, 4, 8));
+}
+
+TEST(Protocol, RejectsPolicySpecsTheConstructorsWouldFatal)
+{
+    // Each of these once reached a policy constructor's fatal() and
+    // took the whole server down.
+    mustReject(R"({"op":"run_mix","params":{"mix":"mix2_01",)"
+               R"("policy":"nucache:epoch=0"}})");
+    const std::string ways =
+        mustReject(R"({"op":"run_mix","params":{"mix":"mix8_01",)"
+                   R"("policy":"ucp","llc_ways":4}})");
+    EXPECT_NE(ways.find("way per core"), std::string::npos) << ways;
+    mustReject(R"({"op":"run_mix","params":{"mix":"mix2_01",)"
+               R"("policy":"ship:shct=0"}})");
+    mustReject(R"({"op":"run_mix","params":{"mix":"mix2_01",)"
+               R"("policy":"nucache:d=16"}})");
+    mustReject(R"({"op":"run_trace","params":{"traces":["/x","/y"],)"
+               R"("policy":"pipp","llc_ways":1}})");
+}
+
+TEST(Protocol, RejectsUnknownPolicyOptions)
+{
+    const std::string err =
+        mustReject(R"({"op":"run_mix","params":{"mix":"mix2_01",)"
+                   R"("policy":"nucache:deliways=7"}})");
+    EXPECT_NE(err.find("deliways"), std::string::npos) << err;
+    mustReject(R"({"op":"run_mix","params":{"mix":"mix2_01",)"
+               R"("policy":"lru:bogus=1"}})");
+    // Known keys still parse.
+    mustParse(R"({"op":"run_mix","params":{"mix":"mix2_01",)"
+              R"("policy":"nucache:d=7,epoch=5000,pool=16"}})");
 }
 
 } // anonymous namespace

@@ -5,9 +5,10 @@
  * concurrent clients, hostile input (garbage and oversized lines),
  * explicit backpressure on a full admission queue, pipelined in-order
  * delivery, slow-client shedding, streamed telemetry frames, engine
- * shards, work-conserving shard workers, engine eviction under
- * concurrency, shutdown draining admitted work, and run_trace over
- * binary and text trace files.
+ * shards, work-conserving shard workers (telemetry runs included),
+ * engine eviction under concurrency, shutdown draining admitted
+ * work, policy specs that must not take the server down, and
+ * run_trace over binary and text trace files.
  */
 
 #include <gtest/gtest.h>
@@ -183,14 +184,45 @@ TEST_F(ServeTest, TelemetryRequestAttachesDocument)
 {
     startServer(baseConfig());
     TestClient client(server->port());
-    const Json doc = client.call(
+    const std::string line =
         R"({"op":"run_mix","params":{"mix":"mix2_01",)"
-        R"("telemetry":500}})");
+        R"("records":20000,"telemetry":5000}})";
+    const Json doc = client.call(line);
     ASSERT_TRUE(doc.at("ok").asBool()) << doc.str(0);
     const Json *telemetry = doc.at("result").find("telemetry");
     ASSERT_NE(telemetry, nullptr);
     EXPECT_EQ(telemetry->at("schema").asString(),
               "nucache-telemetry/v1");
+    // Only the requested mix run is sampled: the run-alone baselines
+    // are shared work, so the document is the same cold or warm.
+    const Json &series = telemetry->at("series");
+    ASSERT_EQ(series.size(), 1u);
+    EXPECT_EQ(series.at(std::size_t{0}).at("label").asString(),
+              "mix2_01/nucache");
+
+    const Json again = client.call(line);
+    ASSERT_TRUE(again.at("ok").asBool()) << again.str(0);
+    ASSERT_NE(again.at("result").find("telemetry"), nullptr);
+    EXPECT_EQ(again.at("result").at("telemetry").str(0),
+              telemetry->str(0));
+}
+
+TEST_F(ServeTest, BadPolicySpecIsABadRequestNotAnExit)
+{
+    startServer(baseConfig());
+    TestClient client(server->port());
+    for (const char *params :
+         {R"("mix":"mix2_01","policy":"nucache:epoch=0")",
+          R"("mix":"mix8_01","policy":"ucp","llc_ways":4)",
+          R"("mix":"mix2_01","policy":"ship:shct=0")",
+          R"("mix":"mix2_01","policy":"nucache:deliways=7")"}) {
+        const Json doc = client.call(
+            std::string(R"({"op":"run_mix","params":{)") + params + "}}");
+        EXPECT_FALSE(doc.at("ok").asBool()) << params;
+        EXPECT_EQ(doc.at("error").at("code").asString(), "bad_request")
+            << params;
+    }
+    EXPECT_TRUE(client.call(R"({"op":"health"})").at("ok").asBool());
 }
 
 TEST_F(ServeTest, GarbageLineGetsErrorAndConnectionSurvives)
@@ -230,11 +262,11 @@ TEST_F(ServeTest, FullQueueAnswersOverload)
 {
     serve::ServerConfig cfg = baseConfig();
     cfg.queueDepth = 1;
+    cfg.service.jobs = 1;
     startServer(cfg);
 
-    // Occupy the shard with an exclusive (telemetry) run that takes
-    // ~2s: its workers pop nothing else while it runs.  Then fill
-    // the depth-1 queue and overflow it.
+    // Occupy the shard's only worker with a run that takes ~2s, then
+    // fill the depth-1 queue and overflow it.
     TestClient blocker(server->port());
     ASSERT_TRUE(blocker.send(
         R"({"op":"run_mix","id":1,"params":{"mix":"mix2_01",)"
@@ -251,7 +283,7 @@ TEST_F(ServeTest, FullQueueAnswersOverload)
                  .asUint() == 0);
 
     // Two admissions back-to-back: the first fills the queue while
-    // the workers are held back, the second must get explicit
+    // the worker is busy, the second must get explicit
     // backpressure instead of an unbounded queue or a stalled socket.
     // Both carry the largest queue deadline, so a slow blocker (a
     // sanitizer build with the checker on) cannot expire id 2 first.
@@ -426,6 +458,45 @@ TEST_F(ServeTest, ShortRunIsNotStuckBehindLongOne)
     pollfd pfd{longClient.fd, POLLIN, 0};
     EXPECT_EQ(::poll(&pfd, 1, 0), 0)
         << "the short run waited for the long one";
+
+    Json longReply;
+    ASSERT_TRUE(longClient.recv(longReply));
+    EXPECT_TRUE(longReply.at("ok").asBool()) << longReply.str(0);
+}
+
+TEST_F(ServeTest, ShortTelemetryRunIsNotStuckBehindLongOne)
+{
+    serve::ServerConfig cfg = baseConfig();
+    cfg.shards = 1;
+    cfg.service.jobs = 2;
+    startServer(cfg);
+
+    // A long telemetry run occupies one of the shard's two workers.
+    // Its series is part of its own result, so nothing holds the
+    // other worker back.
+    TestClient longClient(server->port());
+    ASSERT_TRUE(longClient.send(
+        R"({"op":"run_mix","params":{"mix":"mix2_01",)"
+        R"("records":1000000,"telemetry":100000}})"));
+    TestClient shortClient(server->port());
+    Json metrics;
+    do {
+        metrics = shortClient.call(R"({"op":"metrics"})");
+    } while (metrics.at("result")
+                 .at("shards")
+                 .at(0)
+                 .at("dispatched")
+                 .asUint() == 0);
+
+    const Json shortReply = shortClient.call(
+        R"({"op":"run_mix","params":{"mix":"mix2_01",)"
+        R"("records":2000,"telemetry":500}})");
+    ASSERT_TRUE(shortReply.at("ok").asBool()) << shortReply.str(0);
+    EXPECT_EQ(shortReply.at("result").at("telemetry").at("series").size(),
+              1u);
+    pollfd pfd{longClient.fd, POLLIN, 0};
+    EXPECT_EQ(::poll(&pfd, 1, 0), 0)
+        << "the short telemetry run waited for the long one";
 
     Json longReply;
     ASSERT_TRUE(longClient.recv(longReply));
@@ -952,6 +1023,22 @@ TEST(ServiceRunTrace, MissingAndEmptyFilesAreBadRequests)
                   std::string::npos)
             << doc.str(0);
     }
+}
+
+TEST(ServiceRunTrace, MalformedTextErrorKeepsFileContentOut)
+{
+    TempDir dir;
+    const std::string path = dir.file("secret.txt");
+    std::ofstream(path) << "secret-token-1234\n";
+
+    serve::SimulationService svc(serve::ServiceConfig{});
+    const Json doc = runTrace(svc, {path});
+    ASSERT_FALSE(doc.at("ok").asBool()) << doc.str(0);
+    EXPECT_EQ(doc.at("error").at("code").asString(), "bad_request");
+    const std::string message = doc.at("error").at("message").asString();
+    EXPECT_NE(message.find("line 1"), std::string::npos) << message;
+    EXPECT_EQ(message.find("secret-token-1234"), std::string::npos)
+        << message;
 }
 
 } // anonymous namespace

@@ -19,9 +19,9 @@
  *
  * --repeat sends the same request K times on one connection and
  * prints each latency (cold first request vs warm repeats).
- * --stream (with --telemetry) requests chunked delivery: every
- * stream frame is printed as it arrives, so a long telemetry run
- * shows incremental progress instead of one giant response.
+ * --stream (with --telemetry) requests framed delivery: the result,
+ * the telemetry document and a closing frame, each printed as it
+ * arrives.
  *
  * Load mode (--bench N) opens N concurrent connections and drives a
  * cold priming phase followed by a measured phase of M=--requests

@@ -170,14 +170,13 @@ main(int argc, char **argv)
             args.getInt("telemetry", obs::kDefaultTelemetryInterval);
         if (telemetry == 0)
             fatal("--telemetry interval must be > 0");
-        obs::setTelemetryInterval(telemetry);
     }
     const std::string trace_out = args.get("trace-out", "");
     if (!trace_out.empty())
         obs::Tracer::instance().start(trace_out);
 
     System sys(hier, makePolicy(policy), std::move(traces), records,
-               check::enabled());
+               check::enabled(), telemetry);
     const SystemResult res = sys.run();
 
     std::cout << cores << " core(s), LLC "
@@ -217,17 +216,11 @@ main(int argc, char **argv)
                      json_path.c_str());
     }
 
-    if (telemetry != 0) {
-        std::string tpath = json_path;
-        const std::string ext = ".json";
-        if (tpath.size() > ext.size() &&
-            tpath.compare(tpath.size() - ext.size(), ext.size(), ext) ==
-                0) {
-            tpath.resize(tpath.size() - ext.size());
-        }
-        tpath = tpath.empty() ? "telemetry.json"
-                              : tpath + "_telemetry.json";
-        Json tdoc = obs::TelemetryHub::instance().drainJson();
+    if (res.telemetry) {
+        Json series = Json::array();
+        series.push(res.telemetry->toJson());
+        const Json tdoc = obs::telemetryDocument(std::move(series));
+        const std::string tpath = obs::telemetryPathFor(json_path);
         std::ofstream os(tpath);
         if (!os)
             fatal("cannot write telemetry to '", tpath, "'");
