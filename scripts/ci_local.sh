@@ -124,7 +124,7 @@ for lane_spec in asan-ubsan:address,undefined tsan:thread; do
     "$dir/bench/bench_table1_config" --quick --check
     if [ "$name" = tsan ]; then
         ctest --test-dir "$dir" --output-on-failure \
-            -R "SlowReaderIsShed|PipelinedResponses|StreamedTelemetry|ShortRunIsNotStuck|ConcurrentRunsAcrossMoreWindows|ShortTelemetryRunIsNotStuck|BadPolicySpecIsABadRequest"
+            -R "SlowReaderIsShed|PipelinedResponses|StreamParameterIsRejected|ShortRunIsNotStuck|ConcurrentRunsAcrossMoreWindows|ShortTelemetryRunIsNotStuck|BadPolicySpecIsABadRequest"
     fi
 done
 

@@ -73,9 +73,9 @@ echo "== run_mix (cold, then cached repeat)"
 "$client" --port="$port" --op=run_mix --mix=mix2_01 \
     --records=10000 --repeat=2 --compact >/dev/null
 
-echo "== streamed telemetry run"
+echo "== telemetry run"
 "$client" --port="$port" --op=run_mix --mix=mix2_01 \
-    --records=10000 --telemetry=2000 --stream --compact >/dev/null
+    --records=10000 --telemetry=2000 --compact >/dev/null
 
 echo "== hostile input keeps the server alive"
 if "$client" --port="$port" --raw='this is not json' --compact; then

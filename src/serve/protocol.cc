@@ -156,20 +156,6 @@ parseRunParams(const Json &params, Request &out, std::string &err)
         }
     }
 
-    const Json *stream = params.find("stream");
-    if (stream != nullptr) {
-        if (!stream->isBool()) {
-            err = "'stream' must be a boolean";
-            return false;
-        }
-        out.stream = stream->asBool();
-        if (out.stream && out.telemetry == 0) {
-            err = "'stream' requires 'telemetry' (streaming delivers "
-                  "the telemetry document as incremental frames)";
-            return false;
-        }
-    }
-
     const Json *no_cache = params.find("no_cache");
     if (no_cache != nullptr) {
         if (!no_cache->isBool()) {
@@ -189,9 +175,9 @@ parseRunParams(const Json &params, Request &out, std::string &err)
         out.mode = mode->asString() == "estimate" ? Mode::Estimate
                                                   : Mode::Exact;
     }
-    if (out.op == Op::RunTrace && (out.telemetry != 0 || out.stream)) {
-        err = "run_trace cannot attach telemetry or stream (only "
-              "run_mix records a telemetry document)";
+    if (out.op == Op::RunTrace && out.telemetry != 0) {
+        err = "run_trace cannot attach telemetry (only run_mix "
+              "records a telemetry document)";
         return false;
     }
     if (out.mode == Mode::Estimate) {
@@ -200,9 +186,9 @@ parseRunParams(const Json &params, Request &out, std::string &err)
                   "run_trace --mode=estimate client-side)";
             return false;
         }
-        if (out.telemetry != 0 || out.stream) {
-            err = "'mode': 'estimate' cannot attach telemetry or "
-                  "stream (the model does not simulate)";
+        if (out.telemetry != 0) {
+            err = "'mode': 'estimate' cannot attach telemetry (the "
+                  "model does not simulate)";
             return false;
         }
         if (!out.llcDefense.empty()) {
@@ -284,7 +270,7 @@ knownParamKeys(Op op, const Json &params, std::string &err)
 {
     static const std::vector<std::string> shared = {
         "policy", "records", "llc_kib", "llc_ways", "llc_defense",
-        "telemetry", "stream", "no_cache", "mode"};
+        "telemetry", "no_cache", "mode"};
     for (const auto &[key, value] : params.members()) {
         (void)value;
         bool known =
@@ -504,18 +490,6 @@ shardOf(const Request &req, std::uint64_t default_records,
     // deployment uses across shards without clustering.
     const std::uint64_t h = records * 0x9E3779B97F4A7C15ull;
     return static_cast<std::size_t>(h >> 33) % shards;
-}
-
-Json
-streamFrame(const Request &req, std::uint64_t seq, bool last)
-{
-    Json res = envelope(&req);
-    res["ok"] = true;
-    Json s = Json::object();
-    s["seq"] = seq;
-    s["last"] = last;
-    res["stream"] = std::move(s);
-    return res;
 }
 
 Json

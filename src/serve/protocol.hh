@@ -30,9 +30,8 @@
  *                  "llc_kib", "llc_ways", "telemetry" (sampling
  *                  stride; attaches a nucache-telemetry/v1 doc
  *                  holding the mix run's one series),
- *                  "stream" (with telemetry: deliver the run as
- *                  incremental frames, see below), "no_cache" (skip
- *                  the server's result cache), "llc_defense" (the
+ *                  "no_cache" (skip the server's result cache),
+ *                  "llc_defense" (the
  *                  randomized-index defense spec of mem/rand_index.hh:
  *                  "none", "rand[:key=N]" or
  *                  "rand-dynamic[:key=N][,period=N]").
@@ -41,15 +40,18 @@
  * "attack:<scenario>[:key=value,...]" (scenarios evset / storm; see
  * src/attack/attack.hh) next to the synthetic catalog — hostile
  * traces are ordinary workloads to the server.
- * run_trace params: {"traces": ["/path/a.nutrace", ...]} plus the
+ * run_trace params: {"traces": ["traces/a.nutrace", ...]} plus the
  *                  same "policy"/"records"/"llc_kib"/"llc_ways".
+ *                  Each path must resolve (realpath) under nucached's
+ *                  working directory; any other path answers one
+ *                  bad_request message that does not say why.
  *
  * run_mix additionally accepts "mode": "exact" (default) runs the
  * simulator; "estimate" answers from the analytical reuse-distance
  * model (src/model/) — sub-millisecond once the per-workload
  * profiles are warm, with the response carrying "estimated": true
- * plus a "model_version" tag.  Estimate mode rejects telemetry /
- * stream attachments and policy families outside the model (lru,
+ * plus a "model_version" tag.  Estimate mode rejects telemetry
+ * attachments and policy families outside the model (lru,
  * nru, ucp, pipp and the nucache variants are covered).
  *
  * Response line:
@@ -57,17 +59,11 @@
  *   {"v": "nucache-rpc/v1", "id": 7, "ok": false,
  *    "error": {"code": "overload", "message": "..."}}
  *
- * Responses on one connection are delivered in request order
- * (pipelining: clients may send many request lines before reading),
- * with one exception: a run with "stream": true answers as a
- * sequence of frames that may interleave with other responses on
- * the connection — correlate by "id".  Each frame carries
- *   "stream": {"seq": K, "last": false}
- * Frame 0 holds the run "result" (without telemetry), frame 1 the
- * "telemetry" document, and the final frame has
- * "last": true and no payload.  Streaming is what keeps a multi-MB
- * telemetry run from head-of-line-blocking cheap control ops queued
- * behind it on the same connection.
+ * Every request answers exactly one response line, and responses on
+ * one connection are delivered in request order (pipelining: clients
+ * may send many request lines before reading).  A client that does
+ * not want a long run to delay its other replies opens a second
+ * connection.
  *
  * Error codes: bad_request, too_large, overload, deadline_exceeded,
  * shutting_down, internal.
@@ -159,8 +155,6 @@ struct Request
     std::string llcDefense;
     /** Telemetry sampling stride; 0 = no telemetry attachment. */
     std::uint64_t telemetry = 0;
-    /** Deliver the run as incremental frames (telemetry runs only). */
-    bool stream = false;
     /** Skip the server's result cache for this request. */
     bool noCache = false;
     /** Execution tier: exact simulation or analytical estimate. */
@@ -205,14 +199,6 @@ std::string cacheKey(const Request &req, std::uint64_t default_records);
  */
 std::size_t shardOf(const Request &req, std::uint64_t default_records,
                     std::size_t shards);
-
-/**
- * @return one streaming frame envelope for @p req: `ok` true plus a
- * "stream" object with @p seq and @p last.  The caller attaches the
- * payload ("result" on frame 0, "telemetry" on frame 1; the
- * last frame carries none).
- */
-Json streamFrame(const Request &req, std::uint64_t seq, bool last);
 
 /** @return a success envelope carrying @p result. */
 Json okResponse(const Request &req, Json result);

@@ -75,14 +75,6 @@ classifyResponse(const Request &req, const Json &response)
                                       : RequestClass::Exact;
 }
 
-/** @return counter @p key of one shard's service block, 0 if absent. */
-std::uint64_t
-svcCount(const Json &svc, const char *key)
-{
-    const Json *v = svc.find(key);
-    return v != nullptr && v->isNumber() ? v->asUint() : 0;
-}
-
 } // anonymous namespace
 
 Server::Server(ServerConfig config) : cfg(std::move(config))
@@ -267,19 +259,8 @@ Server::eventLoop()
                 closeConn(tag);
                 continue;
             }
-            if ((ev & EPOLLOUT) != 0) {
-                bool alive, done;
-                {
-                    std::lock_guard<std::mutex> lock(connsMtx);
-                    alive = flushOut(*conn);
-                    done = conn->closeAfterFlush && flushedLocked(*conn);
-                }
-                if (!alive || done) {
-                    closeConn(tag);
-                    continue;
-                }
-                updateInterest(tag, *conn);
-            }
+            if ((ev & EPOLLOUT) != 0)
+                flushOrClose(tag, *conn);
         }
 
         // Connections marked by worker threads since the last pass:
@@ -304,21 +285,10 @@ Server::eventLoop()
                 conn->inDirty = false;
                 kill = conn->kill;
             }
-            if (kill) {
+            if (kill)
                 closeConn(id);
-                continue;
-            }
-            bool alive, done;
-            {
-                std::lock_guard<std::mutex> lock(connsMtx);
-                alive = flushOut(*conn);
-                done = conn->closeAfterFlush && flushedLocked(*conn);
-            }
-            if (!alive || done) {
-                closeConn(id);
-                continue;
-            }
-            updateInterest(id, *conn);
+            else
+                flushOrClose(id, *conn);
         }
     }
 
@@ -510,7 +480,6 @@ Server::handleLine(std::uint64_t conn_id, Connection &conn,
         break;
     }
 
-    const bool stream = req.stream;
     const std::size_t shardIdx =
         shardOf(req, cfg.service.defaultRecords, shards.size());
     Shard &shard = *shards[shardIdx];
@@ -526,39 +495,27 @@ Server::handleLine(std::uint64_t conn_id, Connection &conn,
     // cheap enough to evaluate right here, so the first estimate for
     // a (mix, policy, geometry) is sub-millisecond too — only a cold
     // workload profile falls through to a worker.
-    if (!stream) {
-        std::string payload;
-        const bool hit =
-            req.mode == Mode::Estimate
-                ? shard.service.tryEstimate(req, payload)
-                : shard.service.tryCached(req, payload);
-        if (hit) {
-            trace.cls = req.mode == Mode::Estimate
-                            ? RequestClass::EstimateInline
-                            : RequestClass::CacheHit;
-            if (trace.live)
-                trace.executed = Clock::now();
-            queueSlotLine(conn_id, conn.nextSeq++,
-                          fastHitLine(req, payload), trace);
-            return;
-        }
+    std::string payload;
+    const bool hit = req.mode == Mode::Estimate
+                         ? shard.service.tryEstimate(req, payload)
+                         : shard.service.tryCached(req, payload);
+    if (hit) {
+        trace.cls = req.mode == Mode::Estimate
+                        ? RequestClass::EstimateInline
+                        : RequestClass::CacheHit;
+        if (trace.live)
+            trace.executed = Clock::now();
+        queueSlotLine(conn_id, conn.nextSeq++, fastHitLine(req, payload),
+                      trace);
+        return;
     }
 
     Pending pending;
     pending.conn = conn_id;
-    pending.stream = stream;
+    pending.seq = conn.nextSeq++;
     pending.enqueued = Clock::now();
     pending.deadlineMs = req.deadlineMs != 0 ? req.deadlineMs
                                              : cfg.defaultDeadlineMs;
-    if (stream) {
-        std::lock_guard<std::mutex> lock(connsMtx);
-        ++conn.openStreams;
-        // Streamed runs have no single flush instant; they are
-        // covered by the service counters, not per-request tracing.
-        trace.live = false;
-    } else {
-        pending.seq = conn.nextSeq++;
-    }
     trace.enqueued = pending.enqueued;
     pending.trace = trace;
     pending.req = std::move(req);
@@ -599,21 +556,12 @@ Server::handleLine(std::uint64_t conn_id, Connection &conn,
                           "admission queue full (depth " +
                               std::to_string(cfg.queueDepth) + ")");
     }
-    if (stream) {
-        {
-            std::lock_guard<std::mutex> lock(connsMtx);
-            if (conn.openStreams > 0)
-                --conn.openStreams;
-        }
-        queueOobFrame(conn_id, rejection);
-    } else {
-        // The rejection fills the sequence slot the request was
-        // assigned, so pipelined responses stay in request order.
-        trace.cls = RequestClass::Error;
-        if (trace.live)
-            trace.executed = Clock::now();
-        queueSlotResponse(conn_id, pending.seq, rejection, trace);
-    }
+    // The rejection fills the sequence slot the request was assigned,
+    // so pipelined responses stay in request order.
+    trace.cls = RequestClass::Error;
+    if (trace.live)
+        trace.executed = Clock::now();
+    queueSlotResponse(conn_id, pending.seq, rejection, trace);
 }
 
 void
@@ -663,9 +611,6 @@ Server::workerLoop(Shard &shard)
                 {p.req},
                 [&](std::size_t, Json response) {
                     finishResponse(p, response);
-                },
-                [&](std::size_t, Json frame) {
-                    queueOobFrame(p.conn, frame);
                 });
         }
 
@@ -677,24 +622,12 @@ Server::workerLoop(Shard &shard)
 void
 Server::finishResponse(const Pending &p, const Json &response)
 {
-    if (!p.stream) {
-        ReqTrace trace = p.trace;
-        if (trace.live) {
-            trace.executed = Clock::now();
-            trace.cls = classifyResponse(p.req, response);
-        }
-        queueSlotResponse(p.conn, p.seq, response, trace);
-        return;
+    ReqTrace trace = p.trace;
+    if (trace.live) {
+        trace.executed = Clock::now();
+        trace.cls = classifyResponse(p.req, response);
     }
-    queueOobFrame(p.conn, response);
-    {
-        std::lock_guard<std::mutex> lock(connsMtx);
-        const auto it = conns.find(p.conn);
-        if (it != conns.end() && it->second.openStreams > 0)
-            --it->second.openStreams;
-    }
-    // Re-evaluate the drain condition now that the stream is closed.
-    wake.notify();
+    queueSlotResponse(p.conn, p.seq, response, trace);
 }
 
 void
@@ -725,31 +658,6 @@ Server::queueSlotLine(std::uint64_t conn_id, std::uint64_t seq,
         conn.slots.emplace(seq, Slot{std::move(line), trace});
         metrics.outboundAdd(bytes);
         pumpLocked(conn);
-        capCheckLocked(conn_id, conn);
-        markDirtyLocked(conn_id);
-    }
-    ++responses;
-    if (std::this_thread::get_id() !=
-        loopThreadId.load(std::memory_order_relaxed))
-        wake.notify();
-}
-
-void
-Server::queueOobFrame(std::uint64_t conn_id, const Json &frame)
-{
-    std::string line = frame.str(0);
-    line += '\n';
-    {
-        std::lock_guard<std::mutex> lock(connsMtx);
-        const auto it = conns.find(conn_id);
-        if (it == conns.end()) {
-            ++droppedResponses;
-            return;
-        }
-        Connection &conn = it->second;
-        conn.queuedBytes += line.size();
-        conn.out += line;
-        metrics.outboundAdd(line.size());
         capCheckLocked(conn_id, conn);
         markDirtyLocked(conn_id);
     }
@@ -809,7 +717,7 @@ bool
 Server::flushedLocked(const Connection &conn) const
 {
     return conn.out.empty() && conn.slots.empty() &&
-           conn.nextFlush == conn.nextSeq && conn.openStreams == 0;
+           conn.nextFlush == conn.nextSeq;
 }
 
 bool
@@ -846,6 +754,21 @@ Server::flushOut(Connection &conn)
                  conn.marks.front().target <= conn.sentBytes);
     }
     return alive;
+}
+
+void
+Server::flushOrClose(std::uint64_t conn_id, Connection &conn)
+{
+    bool alive, done;
+    {
+        std::lock_guard<std::mutex> lock(connsMtx);
+        alive = flushOut(conn);
+        done = conn.closeAfterFlush && flushedLocked(conn);
+    }
+    if (!alive || done)
+        closeConn(conn_id);
+    else
+        updateInterest(conn_id, conn);
 }
 
 void
@@ -969,15 +892,15 @@ Server::metricsJson() const
         row["queue_wait"] =
             shard.metrics.queueWaitUs.snapshot().json();
         row["execute"] = shard.metrics.executeUs.snapshot().json();
-        Json svc = shard.service.statsJson();
-        resultHits += svcCount(svc, "cache_hits");
-        resultMisses += svcCount(svc, "cache_misses");
-        engineHits += svcCount(svc, "engine_hits");
-        enginesBuilt += svcCount(svc, "engines_built");
-        estimates += svcCount(svc, "estimates");
-        runMix += svcCount(svc, "run_mix");
-        runTrace += svcCount(svc, "run_trace");
-        row["service"] = std::move(svc);
+        const SimulationService::Snapshot svc = shard.service.snapshot();
+        resultHits += svc.counters.cacheHits;
+        resultMisses += svc.counters.cacheMisses;
+        engineHits += svc.counters.engineHits;
+        enginesBuilt += svc.counters.enginesBuilt;
+        estimates += svc.counters.estimates;
+        runMix += svc.counters.runMix;
+        runTrace += svc.counters.runTrace;
+        row["service"] = shard.service.statsJson(svc);
         shardRows.push(std::move(row));
     }
     m["shards"] = std::move(shardRows);

@@ -13,8 +13,7 @@
  *    queue, and flushes per-connection outbound buffers on
  *    EPOLLOUT.  Nothing on this thread ever blocks on a socket: all
  *    fds are nonblocking and every response is queued, so one
- *    stalled client cannot freeze the loop (the head-of-line block
- *    the old single poll thread had);
+ *    stalled client cannot freeze the loop;
  *  - each engine shard (`--serve-shards`) runs `service.jobs`
  *    worker threads on one admission queue, the only queue: an
  *    idle worker pops the next request, enforces its queue
@@ -31,11 +30,11 @@
  * Each request is assigned a per-connection sequence number at parse
  * time and responses are delivered strictly in request order, no
  * matter which shard or worker finishes first (completed responses
- * park in a per-connection reorder map until their turn).  The one
- * exception is a `"stream": true` run, whose frames are delivered
- * out-of-band as they are produced — correlate by id — precisely so
- * a long telemetry run cannot head-of-line-block control ops queued
- * behind it.
+ * park in a per-connection reorder map until their turn).  Every
+ * response, telemetry runs included, takes this one path: slot,
+ * pump into the outbound buffer, flush mark.  A client that does not
+ * want a long run to delay its other replies opens a second
+ * connection.
  *
  * Slow clients: every connection has a bounded outbound buffer
  * (`maxOutboundBytes`).  A client that stops reading while responses
@@ -217,8 +216,6 @@ class Server
         std::uint64_t nextSeq = 0;
         /** Next sequence number to flush (guarded by connsMtx). */
         std::uint64_t nextFlush = 0;
-        /** Streaming runs admitted but not yet finished. */
-        std::uint32_t openStreams = 0;
         /** Already queued on the dirty list (guarded by connsMtx);
          *  keeps a 16-deep pipelined burst from enqueueing the same
          *  connection 16 times. */
@@ -236,9 +233,8 @@ class Server
     {
         Request req;
         std::uint64_t conn = 0;
-        /** Response slot on the connection (unused when stream). */
+        /** Response slot on the connection. */
         std::uint64_t seq = 0;
-        bool stream = false;
         Clock::time_point enqueued;
         std::uint64_t deadlineMs = 0;
         /** Phase stamps, carried through execution to the flush. */
@@ -290,10 +286,7 @@ class Server
     void queueSlotLine(std::uint64_t conn_id, std::uint64_t seq,
                        std::string line, ReqTrace trace);
 
-    /** Append an out-of-band (streaming) @p frame to @p conn_id. */
-    void queueOobFrame(std::uint64_t conn_id, const Json &frame);
-
-    /** Deliver a worker-side final response for @p p. */
+    /** Deliver a worker-side response for @p p into its slot. */
     void finishResponse(const Pending &p, const Json &response);
 
     /** Move in-order completed slots into `out` (connsMtx held). */
@@ -314,6 +307,11 @@ class Server
      *  the traces of responses fully on the wire.
      *  @return whether the connection survives. */
     bool flushOut(Connection &conn);
+
+    /** Flush @p conn, then close it when the send failed or a
+     *  close-after-flush connection is fully delivered; otherwise
+     *  match its epoll interest to what is left (loop thread). */
+    void flushOrClose(std::uint64_t conn_id, Connection &conn);
 
     /** Update @p conn's epoll interest to match its state. */
     void updateInterest(std::uint64_t conn_id, Connection &conn);

@@ -19,10 +19,9 @@
  *
  * Recording is gated by obs::serveMetricsEnabled() (on by default;
  * bench_throughput's serve_loopback A/B flips it to prove the plane
- * costs nothing beyond noise).  Streaming runs are excluded from
- * per-request tracing — their frames interleave arbitrarily, so
- * there is no single flush instant — and are covered by the service
- * counters instead.
+ * costs nothing beyond noise).  Every served request, telemetry
+ * runs included, is one response line with one flush instant, so
+ * every request is traced.
  */
 
 #ifndef NUCACHE_SERVE_SERVER_METRICS_HH

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
+#include <cstdlib>
 
 #include "check/check_mode.hh"
 #include "model/predictor.hh"
@@ -124,6 +126,32 @@ estimateResultJson(const model::MixEstimate &est,
     c["llc_hit_rate"] = est.llcHitRate;
     c["cores"] = std::move(cores);
     return c;
+}
+
+/** @return the canonical absolute form of @p path (symlinks and `..`
+ *  resolved), or "" when it does not exist. */
+std::string
+resolvedPath(const std::string &path)
+{
+    char buf[PATH_MAX];
+    return ::realpath(path.c_str(), buf) != nullptr ? buf : "";
+}
+
+/**
+ * @return whether @p path resolves to an existing entry under the
+ * working directory.  A wire client learns nothing about the file
+ * system outside that directory: a missing file, a `..` escape and a
+ * symlink pointing out all answer false.
+ */
+bool
+underWorkingDir(const std::string &path)
+{
+    std::string root = resolvedPath(".");
+    if (root.empty())
+        return false;
+    if (root.back() != '/')
+        root += '/';
+    return resolvedPath(path).compare(0, root.size(), root) == 0;
 }
 
 } // anonymous namespace
@@ -290,6 +318,11 @@ SimulationService::runTraceResult(const Request &req, std::string &err)
     std::vector<TraceSourcePtr> traces;
     std::uint64_t shortest = kMaxRecords;
     for (const auto &path : req.tracePaths) {
+        if (!underWorkingDir(path)) {
+            err = "trace '" + path + "' does not resolve to a file "
+                  "under the server's working directory";
+            return Json();
+        }
         TraceParseResult parsed = tryLoadTraceFile(path);
         if (!parsed.ok) {
             err = parsed.error;
@@ -333,8 +366,7 @@ SimulationService::runTraceResult(const Request &req, std::string &err)
 
 void
 SimulationService::executeBatch(const std::vector<Request> &batch,
-                                const Emit &emit,
-                                const EmitFrame &frame)
+                                const Emit &emit)
 {
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const Request &req = batch[i];
@@ -368,11 +400,6 @@ SimulationService::executeBatch(const std::vector<Request> &batch,
                                         telemetry);
             cacheStore(key, result);
             attachServerInfo(result, false, msSince(start));
-            if (req.stream && frame) {
-                emitStream(i, req, std::move(result),
-                           std::move(telemetry), emit, frame);
-                continue;
-            }
             if (req.telemetry != 0)
                 result["telemetry"] = std::move(telemetry);
             emit(i, okResponse(req, std::move(result)));
@@ -398,29 +425,6 @@ SimulationService::executeBatch(const std::vector<Request> &batch,
 }
 
 void
-SimulationService::emitStream(std::size_t i, const Request &req,
-                              Json result, Json telemetry,
-                              const Emit &emit, const EmitFrame &frame)
-{
-    std::uint64_t seq = 0;
-    Json head = streamFrame(req, seq++, false);
-    head["result"] = std::move(result);
-    frame(i, std::move(head));
-
-    // Frame 1 carries the run's telemetry document; the last frame
-    // closes the stream.
-    Json doc = streamFrame(req, seq++, false);
-    doc["telemetry"] = std::move(telemetry);
-    frame(i, std::move(doc));
-    emit(i, streamFrame(req, seq, true));
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        ++stats.streamedRuns;
-        stats.streamFrames += seq + 1;
-    }
-}
-
-void
 SimulationService::attachServerInfo(Json &result, bool cached,
                                     double wall_ms)
 {
@@ -441,32 +445,40 @@ SimulationService::attachServerInfo(Json &result, bool cached,
     result["server"] = std::move(s);
 }
 
-Json
-SimulationService::statsJson() const
+SimulationService::Snapshot
+SimulationService::snapshot() const
 {
     std::lock_guard<std::mutex> lock(mtx);
-    Json s = Json::object();
-    s["run_mix"] = stats.runMix;
-    s["run_trace"] = stats.runTrace;
-    s["cache_hits"] = stats.cacheHits;
-    s["cache_misses"] = stats.cacheMisses;
-    s["cache_entries"] = std::uint64_t{cache.size()};
-    s["telemetry_runs"] = stats.telemetryRuns;
-    s["estimates"] = stats.estimates;
-    s["estimates_inline"] = stats.estimatesInline;
-    s["streamed_runs"] = stats.streamedRuns;
-    s["stream_frames"] = stats.streamFrames;
-    s["engines"] = std::uint64_t{engines.size()};
-    s["engine_hits"] = stats.engineHits;
-    s["engines_built"] = stats.enginesBuilt;
-    s["engines_evicted"] = stats.enginesEvicted;
-    s["failures"] = stats.failures;
-    std::uint64_t alone = 0;
+    Snapshot snap;
+    snap.counters = stats;
+    snap.cacheEntries = cache.size();
+    snap.engines = engines.size();
     for (const auto &[records, engine] : engines) {
         (void)records;
-        alone += engine->aloneRunCount();
+        snap.aloneRuns += engine->aloneRunCount();
     }
-    s["alone_runs"] = alone;
+    return snap;
+}
+
+Json
+SimulationService::statsJson(const Snapshot &snap) const
+{
+    const Counters &c = snap.counters;
+    Json s = Json::object();
+    s["run_mix"] = c.runMix;
+    s["run_trace"] = c.runTrace;
+    s["cache_hits"] = c.cacheHits;
+    s["cache_misses"] = c.cacheMisses;
+    s["cache_entries"] = snap.cacheEntries;
+    s["telemetry_runs"] = c.telemetryRuns;
+    s["estimates"] = c.estimates;
+    s["estimates_inline"] = c.estimatesInline;
+    s["engines"] = snap.engines;
+    s["engine_hits"] = c.engineHits;
+    s["engines_built"] = c.enginesBuilt;
+    s["engines_evicted"] = c.enginesEvicted;
+    s["failures"] = c.failures;
+    s["alone_runs"] = snap.aloneRuns;
     s["jobs"] = cfg.jobs;
     s["default_records"] = cfg.defaultRecords;
     return s;

@@ -17,7 +17,9 @@
  * run's result (RunEngine::runMix with the request's interval), so
  * telemetry runs touch no process-wide state and overlap with any
  * other run; the memoized run-alone baselines are never sampled for
- * a request.  The stats accessors are thread-safe.
+ * a request, and the document rides in the request's one response.
+ * run_trace reads only files that resolve under the working
+ * directory.  The stats accessors are thread-safe.
  */
 
 #ifndef NUCACHE_SERVE_SERVICE_HH
@@ -67,25 +69,15 @@ class SimulationService
     using Emit = std::function<void(std::size_t, Json)>;
 
     /**
-     * Sink for the non-final frames of a streaming ("stream": true)
-     * run: invoked zero or more times before the element's final
-     * Emit, each time with one self-contained frame envelope.
-     */
-    using EmitFrame = std::function<void(std::size_t, Json)>;
-
-    /**
      * Execute admitted requests one after another on the calling
      * thread (the Server's workers pass one each).  Every element
      * must be a run_mix / run_trace request.  A run_mix with
      * telemetry attaches `{"schema": "nucache-telemetry/v1",
-     * "series": [<the mix run's series>]}`.  Streaming requests
-     * deliver their payload through @p frame and close with a final
-     * frame through @p emit (when @p frame is null they fall back to
-     * one monolithic response).  Returns once
-     * every response has been emitted.
+     * "series": [<the mix run's series>]}` to its one response.
+     * Returns once every response has been emitted.
      */
     void executeBatch(const std::vector<Request> &batch,
-                      const Emit &emit, const EmitFrame &frame = {});
+                      const Emit &emit);
 
     /**
      * Lock-briefly fast path for the server's event loop: when @p req
@@ -112,9 +104,37 @@ class SimulationService
      */
     bool tryEstimate(const Request &req, std::string &result_payload);
 
-    /** @return this shard's service counters as a JSON object (the
-     *  `service` member of its metrics shard row). */
-    Json statsJson() const;
+    /** Request and cache counters (guarded by mtx). */
+    struct Counters
+    {
+        std::uint64_t runMix = 0;
+        std::uint64_t runTrace = 0;
+        std::uint64_t cacheHits = 0;
+        std::uint64_t cacheMisses = 0;
+        std::uint64_t telemetryRuns = 0;
+        std::uint64_t estimates = 0;
+        std::uint64_t estimatesInline = 0;
+        std::uint64_t engineHits = 0;
+        std::uint64_t enginesBuilt = 0;
+        std::uint64_t enginesEvicted = 0;
+        std::uint64_t failures = 0;
+    };
+
+    /** The counters plus the cache/engine gauges, read together. */
+    struct Snapshot
+    {
+        Counters counters;
+        std::uint64_t cacheEntries = 0;
+        std::uint64_t engines = 0;
+        std::uint64_t aloneRuns = 0;
+    };
+
+    /** @return a consistent snapshot, taken under one lock. */
+    Snapshot snapshot() const;
+
+    /** @return @p snap rendered as a JSON object (the `service`
+     *  member of this shard's metrics row). */
+    Json statsJson(const Snapshot &snap) const;
 
     /** @return the measurement window for requests that omit it. */
     std::uint64_t defaultRecords() const { return cfg.defaultRecords; }
@@ -149,14 +169,6 @@ class SimulationService
     /** Append the "server" block (cache/reuse hints). */
     void attachServerInfo(Json &result, bool cached, double wall_ms);
 
-    /**
-     * Deliver one finished streaming run as frames: the result, the
-     * telemetry document, then the final frame through @p emit.
-     */
-    void emitStream(std::size_t i, const Request &req, Json result,
-                    Json telemetry, const Emit &emit,
-                    const EmitFrame &frame);
-
     /** Look up @p key in the result cache (empty key misses). */
     bool cacheLookup(const std::string &key, Json &result);
 
@@ -184,23 +196,7 @@ class SimulationService
     /** Cache keys, most recently used first (LRU order). */
     std::list<std::string> cacheOrder;
 
-    /** Counters (guarded by mtx). */
-    struct Counters
-    {
-        std::uint64_t runMix = 0;
-        std::uint64_t runTrace = 0;
-        std::uint64_t cacheHits = 0;
-        std::uint64_t cacheMisses = 0;
-        std::uint64_t telemetryRuns = 0;
-        std::uint64_t estimates = 0;
-        std::uint64_t estimatesInline = 0;
-        std::uint64_t streamedRuns = 0;
-        std::uint64_t streamFrames = 0;
-        std::uint64_t engineHits = 0;
-        std::uint64_t enginesBuilt = 0;
-        std::uint64_t enginesEvicted = 0;
-        std::uint64_t failures = 0;
-    } stats;
+    Counters stats;
 };
 
 } // namespace nucache::serve

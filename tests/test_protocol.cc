@@ -223,7 +223,7 @@ TEST(Protocol, RejectsUnsupportableEstimates)
 {
     mustReject(R"({"op":"run_mix","params":{"mix":"mix2_01",)"
                R"("mode":"guess"}})");
-    // The model cannot attach observers or stream frames.
+    // The model cannot attach observers, and "stream" is no parameter.
     mustReject(R"({"op":"run_mix","params":{"mix":"mix2_01",)"
                R"("mode":"estimate","telemetry":1000}})");
     mustReject(R"({"op":"run_mix","params":{"mix":"mix2_01",)"
@@ -242,10 +242,9 @@ TEST(Protocol, RejectsUnsupportableEstimates)
 
 TEST(Protocol, RunTraceRejectsTelemetryAndStream)
 {
-    // run_trace records no telemetry document, so neither knob may be
+    // run_trace records no telemetry document, so the knob may not be
     // accepted and then silently dropped.
-    for (const char *extra : {R"("telemetry":500)", R"("telemetry":true)",
-                              R"("telemetry":500,"stream":true)"}) {
+    for (const char *extra : {R"("telemetry":500)", R"("telemetry":true)"}) {
         const std::string err = mustReject(
             std::string(R"({"op":"run_trace","params":{"traces":["/x"],)") +
             extra + "}}");
@@ -258,7 +257,6 @@ TEST(Protocol, RunTraceRejectsTelemetryAndStream)
         R"({"op":"run_trace","params":{"traces":["/x"],)"
         R"("telemetry":false}})");
     EXPECT_EQ(off.telemetry, 0u);
-    EXPECT_FALSE(off.stream);
 }
 
 TEST(Protocol, CacheKeyIsCanonicalAndOptOutable)

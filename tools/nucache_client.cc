@@ -8,7 +8,6 @@
  *   nucache_client --op=run_mix --mix=mix2_01 --policy=nucache
  *   nucache_client --op=run_mix --workloads=loop_medium,stream_pure \
  *       --records=62500 [--telemetry[=N]] [--no-cache] [--repeat=K]
- *   nucache_client --op=run_mix --mix=mix2_01 --telemetry --stream
  *   nucache_client --op=run_trace a.nutrace b.nutrace
  *   nucache_client --raw='{"op":"health"}'
  *
@@ -19,9 +18,8 @@
  *
  * --repeat sends the same request K times on one connection and
  * prints each latency (cold first request vs warm repeats).
- * --stream (with --telemetry) requests framed delivery: the result,
- * the telemetry document and a closing frame, each printed as it
- * arrives.
+ * --telemetry attaches the run's nucache-telemetry/v1 document to
+ * its one response envelope (`result.telemetry`).
  *
  * Load mode (--bench N) opens N concurrent connections and drives a
  * cold priming phase followed by a measured phase of M=--requests
@@ -147,8 +145,6 @@ buildRequest(const CliArgs &args, std::uint64_t id,
         params["llc_ways"] = args.getInt("llc-ways", 0);
     if (args.has("telemetry"))
         params["telemetry"] = args.getInt("telemetry", 50'000);
-    if (args.has("stream"))
-        params["stream"] = true;
     if (args.has("no-cache"))
         params["no_cache"] = true;
     if (mode_override != nullptr)
@@ -215,24 +211,6 @@ responseOk(const std::string &response_line)
         return false;
     const Json *ok = doc.find("ok");
     return ok != nullptr && ok->isBool() && ok->asBool();
-}
-
-/**
- * @return whether @p response_line is a non-final streaming frame
- * (its "stream" object says more frames follow).
- */
-bool
-responseContinues(const std::string &response_line)
-{
-    Json doc;
-    std::string err;
-    if (!Json::parse(response_line, doc, err) || !doc.isObject())
-        return false;
-    const Json *stream = doc.find("stream");
-    if (stream == nullptr || !stream->isObject())
-        return false;
-    const Json *last = stream->find("last");
-    return last != nullptr && last->isBool() && !last->asBool();
 }
 
 double
@@ -745,8 +723,7 @@ int
 main(int argc, char **argv)
 {
     const CliArgs args(argc, argv,
-                       {"no-cache", "telemetry", "compact", "stream",
-                        "metrics"});
+                       {"no-cache", "telemetry", "compact", "metrics"});
     const std::string host = args.get("host", "127.0.0.1");
     const std::uint16_t port =
         static_cast<std::uint16_t>(args.getInt("port", 7411));
@@ -772,18 +749,6 @@ main(int argc, char **argv)
         const Clock::time_point t0 = Clock::now();
         if (!conn.roundTrip(request, response))
             fatal("nucache_client: connection closed by server");
-        // A streaming run answers in frames; print each as it lands
-        // and keep reading until the final frame closes the stream.
-        while (responseContinues(response)) {
-            Json frame;
-            std::string perr;
-            if (Json::parse(response, frame, perr))
-                std::cout << frame.str(args.has("compact") ? 0 : 2)
-                          << "\n";
-            all_ok = all_ok && responseOk(response);
-            if (!conn.recv(response))
-                fatal("nucache_client: connection closed mid-stream");
-        }
         const double ms = msSince(t0);
         if (repeat > 1)
             std::fprintf(stderr, "request %llu: %.2f ms%s\n",

@@ -27,6 +27,8 @@
  * plus per-phase spans) to FILE at shutdown.
  * SIGINT/SIGTERM and the `shutdown` op drain admitted work, flush
  * every response, and exit 0.
+ * The run_trace op only reads trace files that resolve under the
+ * working directory nucached was started in.
  */
 
 #include <atomic>
